@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.fingerprint import stable_digest
+from repro.util.fingerprint import memoized, stable_digest
 from repro.util.validation import check_positive
 
 
@@ -54,6 +54,7 @@ class AnalysisHints:
                 return hint.referenced_elements
         return None
 
+    @memoized
     def fingerprint(self) -> str:
         """Stable content hash; hint order never matters."""
         return stable_digest(

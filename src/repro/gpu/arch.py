@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.util.fingerprint import stable_digest
+from repro.util.fingerprint import memoized, stable_digest
 from repro.util.validation import check_positive
 
 
@@ -58,6 +58,7 @@ class GPUArchitecture:
         ):
             check_positive(field_name, getattr(self, field_name))
 
+    @memoized
     def fingerprint(self) -> str:
         """Stable content hash over every machine parameter.
 

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.datausage.transfers import Direction, TransferPlan
-from repro.util.fingerprint import stable_digest
+from repro.util.fingerprint import memoized, stable_digest
 from repro.util.validation import check_non_negative, check_positive
 
 
@@ -96,6 +96,7 @@ class LinearTransferModel:
     def from_dict(data: Mapping[str, float]) -> "LinearTransferModel":
         return LinearTransferModel(float(data["alpha"]), float(data["beta"]))
 
+    @memoized
     def fingerprint(self) -> str:
         """Stable content hash of the fitted (alpha, beta) pair."""
         return stable_digest(self.to_dict())
@@ -121,6 +122,7 @@ class BusModel:
     def for_direction(self, direction: Direction) -> LinearTransferModel:
         return self.h2d if direction is Direction.H2D else self.d2h
 
+    @memoized
     def fingerprint(self) -> str:
         """Stable content hash over both directions' (alpha, beta).
 

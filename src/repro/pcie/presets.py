@@ -36,11 +36,17 @@ def pcie_gen3_bus() -> BusModel:
     )
 
 
+_FACTORIES = {1: pcie_gen1_bus, 2: pcie_gen2_bus, 3: pcie_gen3_bus}
+_BUS_CACHE: dict[int, BusModel] = {}
+
+
 def bus_for_generation(generation: int) -> BusModel:
-    """Bus model for PCIe generation 1, 2, or 3."""
-    factories = {1: pcie_gen1_bus, 2: pcie_gen2_bus, 3: pcie_gen3_bus}
-    if generation not in factories:
+    """Bus model for PCIe generation 1, 2, or 3 (cached, so repeat
+    lookups return the identical object and its memoized fingerprint)."""
+    if generation not in _FACTORIES:
         raise ValueError(
-            f"unknown PCIe generation {generation}; know {sorted(factories)}"
+            f"unknown PCIe generation {generation}; know {sorted(_FACTORIES)}"
         )
-    return factories[generation]()
+    if generation not in _BUS_CACHE:
+        _BUS_CACHE[generation] = _FACTORIES[generation]()
+    return _BUS_CACHE[generation]

@@ -1,19 +1,23 @@
 """Content-addressed result cache for the projection service.
 
 Results are stored under the request fingerprint (see
-:meth:`repro.service.engine.ProjectionEngine.fingerprint`) as the plain
-dict form of a :class:`~repro.core.serialize.ProjectionSummary`, which
+:meth:`repro.service.engine.ProjectionEngine.fingerprint`) as
+:class:`~repro.core.serialize.ProjectionSummary` objects, whose dict form
 round-trips exactly — a hit is provably equivalent to recomputation.
 
 Two tiers:
 
-- an in-memory **LRU** tier (always on) bounded by ``capacity`` entries;
+- an in-memory **LRU** tier (always on) bounded by ``capacity`` entries,
+  holding the immutable summaries themselves: a hit returns the stored
+  object, with nothing to decode;
 - an optional **on-disk JSON** tier (``disk_dir``) that persists across
-  processes — one ``<fingerprint>.json`` file per entry, written
-  atomically so concurrent writers can never leave a torn file.
+  processes — one ``<fingerprint>.json`` file per entry holding the
+  summary's dict form, written atomically so concurrent writers can never
+  leave a torn file.
 
-Disk hits are promoted into the memory tier.  Corrupt or unreadable disk
-entries are treated as misses, never as errors.
+Disk hits are decoded once and promoted into the memory tier.  Corrupt,
+unreadable or undecodable disk entries are treated as misses, never as
+errors.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any
 
+from repro.core.serialize import ProjectionSummary
+
 #: Schema version of on-disk entries; bump on incompatible change.
 DISK_FORMAT = 1
 
@@ -32,7 +38,7 @@ _SUFFIX = ".json"
 
 
 class ProjectionCache:
-    """Two-tier (memory LRU + optional disk) cache of summary dicts."""
+    """Two-tier (memory LRU + optional disk) cache of projection summaries."""
 
     def __init__(
         self,
@@ -44,7 +50,7 @@ class ProjectionCache:
         self._capacity = capacity
         self._disk_dir = Path(disk_dir) if disk_dir is not None else None
         self._lock = threading.Lock()
-        self._memory: OrderedDict[str, dict[str, Any]] = OrderedDict()
+        self._memory: OrderedDict[str, ProjectionSummary] = OrderedDict()
         self._hits_memory = 0
         self._hits_disk = 0
         self._misses = 0
@@ -67,7 +73,7 @@ class ProjectionCache:
             return len(self._memory)
 
     # Core API ------------------------------------------------------------
-    def get(self, key: str) -> dict[str, Any] | None:
+    def get(self, key: str) -> ProjectionSummary | None:
         """Look up ``key``: memory first, then disk (with promotion)."""
         with self._lock:
             if key in self._memory:
@@ -84,7 +90,7 @@ class ProjectionCache:
             self._misses += 1
         return None
 
-    def put(self, key: str, summary: dict[str, Any]) -> None:
+    def put(self, key: str, summary: ProjectionSummary) -> None:
         """Store ``summary`` under ``key`` in both tiers."""
         with self._lock:
             self._puts += 1
@@ -126,7 +132,7 @@ class ProjectionCache:
         return stats
 
     # Memory tier (callers hold the lock) ---------------------------------
-    def _memory_put(self, key: str, summary: dict[str, Any]) -> None:
+    def _memory_put(self, key: str, summary: ProjectionSummary) -> None:
         self._memory[key] = summary
         self._memory.move_to_end(key)
         while len(self._memory) > self._capacity:
@@ -138,7 +144,7 @@ class ProjectionCache:
         assert self._disk_dir is not None
         return self._disk_dir / f"{key}{_SUFFIX}"
 
-    def _disk_get(self, key: str) -> dict[str, Any] | None:
+    def _disk_get(self, key: str) -> ProjectionSummary | None:
         if self._disk_dir is None:
             return None
         try:
@@ -153,12 +159,19 @@ class ProjectionCache:
             or not isinstance(record.get("summary"), dict)
         ):
             return None
-        return record["summary"]
+        try:
+            return ProjectionSummary.from_dict(record["summary"])
+        except (AttributeError, KeyError, TypeError, ValueError):
+            return None
 
-    def _disk_put(self, key: str, summary: dict[str, Any]) -> None:
+    def _disk_put(self, key: str, summary: ProjectionSummary) -> None:
         if self._disk_dir is None:
             return
-        record = {"format": DISK_FORMAT, "key": key, "summary": summary}
+        record = {
+            "format": DISK_FORMAT,
+            "key": key,
+            "summary": summary.to_dict(),
+        }
         path = self._disk_path(key)
         tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
         try:

@@ -98,7 +98,7 @@ class ProjectionResponse:
     iterations: int
     cpu_seconds: float | None = None
     #: The full projection object — only populated on a cache miss (a
-    #: hit reconstructs the summary, which is all the cache stores).
+    #: hit serves the cached summary, which is all the cache stores).
     projection: Projection | None = field(
         default=None, compare=False, repr=False
     )
@@ -247,7 +247,12 @@ class ProjectionEngine:
 
     # Keying --------------------------------------------------------------
     def fingerprint(self, request: ProjectionRequest) -> str:
-        """Cache key: everything that determines the projection result."""
+        """Cache key: everything that determines the projection result.
+
+        Each input's own digest is memoized on the (immutable) object, so
+        a repeated request — the same interned skeleton at another bus or
+        iteration count — hashes only this small envelope.
+        """
         arch = request.arch or self._arch
         bus = request.bus or self._bus
         space = request.space or self._space
@@ -281,18 +286,32 @@ class ProjectionEngine:
         arch: GPUArchitecture,
         space: TransformationSpace,
     ) -> str:
+        """Kernel-level cache key of one kernel of a program."""
+        return self._kernel_digest_key(
+            kernel_fingerprint(kernel, array_map), arch, space
+        )
+
+    def _kernel_digest_key(
+        self,
+        kernel_digest: str,
+        arch: GPUArchitecture,
+        space: TransformationSpace,
+    ) -> str:
         """Kernel-level cache key: everything one exploration reads.
 
         Bus and explorer stay out — kernel time is bus-independent, and
         fast/reference produce bitwise-identical projections.  ``prune``
         is *in*: pruning moves configs between the candidate and pruned
         tables, so projections from different prune modes are distinct
-        objects even though the best mapping agrees.
+        objects even though the best mapping agrees.  ``kernel_digest``
+        is the kernel's :func:`~repro.skeleton.program.kernel_fingerprint`
+        — for a whole program, read from the memoized
+        :meth:`ProgramSkeleton.kernel_fingerprints`.
         """
         return stable_digest(
             {
                 "format": KEY_FORMAT,
-                "kernel": kernel_fingerprint(kernel, array_map),
+                "kernel": kernel_digest,
                 "arch": arch.fingerprint(),
                 "space": space.fingerprint(),
                 "options": {"prune": self._prune},
@@ -321,11 +340,10 @@ class ProjectionEngine:
 
             if self._cache is not None:
                 with self.metrics.timer("cache_lookup"):
-                    entry = self._cache.get(key)
-                if entry is not None:
+                    summary = self._cache.get(key)
+                if summary is not None:
                     self.metrics.incr("cache_hits")
                     root.set(cached=True)
-                    summary = ProjectionSummary.from_dict(entry)
                     return ProjectionResponse(
                         request_id=request.request_id,
                         fingerprint=key,
@@ -349,7 +367,7 @@ class ProjectionEngine:
             summary = summarize_projection(projection, provenance)
             if self._cache is not None:
                 with self.metrics.timer("cache_store"):
-                    self._cache.put(key, summary.to_dict())
+                    self._cache.put(key, summary)
             return ProjectionResponse(
                 request_id=request.request_id,
                 fingerprint=key,
@@ -427,10 +445,9 @@ class ProjectionEngine:
             )
             return projection
 
-        array_map = program.array_map
         keys = [
-            self._kernel_key(kernel, array_map, model.arch, space)
-            for kernel in program.kernels
+            self._kernel_digest_key(digest, model.arch, space)
+            for digest in program.kernel_fingerprints()
         ]
         found: dict[int, KernelProjection] = {}
         for index, key in enumerate(keys):

@@ -57,9 +57,18 @@ from repro.service.engine import (
 )
 from repro.service.parallel import shared_pool
 from repro.skeleton.parser import parse_skeleton, parse_skeleton_file
+from repro.skeleton.program import ProgramSkeleton
 from repro.workloads.registry import get_workload
 
 _SOURCE_FIELDS = ("workload", "skeleton_file", "skeleton")
+
+#: (lower-cased workload name, dataset label or None) -> the interned
+#: (skeleton, hints) pair of that registry record.  Only lookups that
+#: resolve are stored, so the memo holds at most one entry per registry
+#: dataset (plus one per workload for the default dataset).
+_REGISTRY_INPUTS: dict[
+    tuple[str, str | None], tuple[ProgramSkeleton, AnalysisHints]
+] = {}
 
 
 class BadRequestError(ValueError):
@@ -220,6 +229,44 @@ class BatchResult:
         return "\n".join(lines)
 
 
+def _registry_input(
+    name: str, label: Any
+) -> tuple[ProgramSkeleton, AnalysisHints]:
+    """The skeleton and hints of one registry ``{workload, dataset}``.
+
+    Built once, then the same objects are returned: they are immutable
+    all the way down, and reusing them lets every later request reuse
+    their memoized fingerprints (and the surrogate's prepared template)
+    instead of rebuilding and re-hashing the skeleton.  Raises the
+    lookup's ``KeyError`` or a ``dataset`` :class:`BadRequestError`.
+    """
+    key = (name.lower(), None if label is None else str(label))
+    found = _REGISTRY_INPUTS.get(key)
+    if found is not None:
+        return found
+    workload = get_workload(name)
+    try:
+        dataset = (
+            workload.dataset(key[1])
+            if key[1] is not None
+            else max(workload.datasets(), key=lambda d: d.size)
+        )
+    except (KeyError, ValueError) as exc:
+        raise BadRequestError(
+            str(exc.args[0] if exc.args else exc),
+            field="dataset",
+            hint="`python -m repro list` shows each workload's datasets",
+        ) from exc
+    # The default dataset shares its entry with the explicit label.
+    labelled = (key[0], dataset.label)
+    found = _REGISTRY_INPUTS.get(labelled)
+    if found is None:
+        found = (workload.skeleton(dataset), workload.hints(dataset))
+        _REGISTRY_INPUTS[labelled] = found
+    _REGISTRY_INPUTS[key] = found
+    return found
+
+
 def parse_request(
     data: Any, index: int, base_dir: Path
 ) -> ProjectionRequest:
@@ -248,23 +295,9 @@ def parse_request(
     source = sources[0]
     try:
         if source == "workload":
-            workload = get_workload(str(data["workload"]))
-            label = data.get("dataset")
-            try:
-                dataset = (
-                    workload.dataset(str(label))
-                    if label is not None
-                    else max(workload.datasets(), key=lambda d: d.size)
-                )
-            except (KeyError, ValueError) as exc:
-                raise BadRequestError(
-                    str(exc.args[0] if exc.args else exc),
-                    field="dataset",
-                    hint="`python -m repro list` shows each workload's "
-                    "datasets",
-                ) from exc
-            program = workload.skeleton(dataset)
-            hints = workload.hints(dataset)
+            program, hints = _registry_input(
+                str(data["workload"]), data.get("dataset")
+            )
         elif source == "skeleton_file":
             path = Path(str(data["skeleton_file"]))
             if not path.is_absolute():

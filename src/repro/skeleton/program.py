@@ -7,7 +7,7 @@ from typing import Any, Mapping
 
 from repro.skeleton.arrays import ArrayDecl
 from repro.skeleton.kernel import KernelSkeleton
-from repro.util.fingerprint import canonical_json, stable_digest
+from repro.util.fingerprint import canonical_json, memoized, stable_digest
 
 
 def _index_payload(index) -> dict[str, Any]:
@@ -175,6 +175,7 @@ class ProgramSkeleton:
     def total_flops(self) -> float:
         return sum(k.total_flops for k in self.kernels)
 
+    @memoized
     def fingerprint(self) -> str:
         """Stable content hash of everything the projection depends on.
 
@@ -183,7 +184,8 @@ class ProgramSkeleton:
         labels — fingerprint identically; any change to shapes, dtypes,
         flops, loop structure, kernel order (which drives liveness), or
         temporary hints produces a different digest.  The projection
-        service uses this as part of its cache key.
+        service uses this as part of its cache key.  Computed once per
+        object (see :func:`repro.util.fingerprint.memoized`).
         """
         payload = {
             "name": self.name,
@@ -195,6 +197,18 @@ class ProgramSkeleton:
             "temporaries": sorted(self.temporaries),
         }
         return stable_digest(payload)
+
+    @memoized
+    def kernel_fingerprints(self) -> tuple[str, ...]:
+        """:func:`kernel_fingerprint` of every kernel, in program order.
+
+        Computed once per object, like :meth:`fingerprint`; the
+        projection engine builds its kernel-cache keys from these.
+        """
+        array_map = self.array_map
+        return tuple(
+            kernel_fingerprint(kernel, array_map) for kernel in self.kernels
+        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

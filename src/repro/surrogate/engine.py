@@ -23,23 +23,26 @@ land on the shared :class:`~repro.service.metrics.ServiceMetrics`.
 The hot path is deliberately cache-shaped: a program's feature matrix,
 model scores, winning labels, and acceptance verdict depend only on the
 program + hints (the skeleton encodes the dataset; the model is pinned
-to one arch and space), so they are computed once per program identity
-and a steady-state query pays a dictionary hit, four multiply-adds for
-the transfer time under the query's bus, and response assembly — single-
-digit microseconds.  Exactly the what-if pattern the request cache
-serves, minus the search that fills it.
+to one arch and space), so they are computed once per program content
+(keyed by the memoized fingerprints, so a re-parsed copy of a skeleton
+reuses its template) and kept in a bounded LRU.  A steady-state query
+pays a dictionary hit, four multiply-adds for the transfer time under
+the query's bus, and response assembly — single-digit microseconds.
+Exactly the what-if pattern the request cache serves, minus the search
+that fills it.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from repro.datausage.analyzer import analyze_transfers
-from repro.gpu.arch import GPUArchitecture
 from repro.obs.provenance import ServingProvenance
 from repro.obs.trace import span
 from repro.service.engine import (
@@ -51,9 +54,13 @@ from repro.surrogate.features import kernel_feature_row
 from repro.surrogate.model import SurrogateModel
 from repro.surrogate.store import StaleModelError
 from repro.transform.analysis import analyze_kernel
-from repro.transform.space import TransformationSpace
 
 SERVING_MODES = ("auto", "surrogate", "exact")
+
+#: Prepared templates kept per engine (least recently used evicted
+#: first).  The registry needs a few dozen; the rest of the budget goes
+#: to inline skeletons, which are rarely asked about twice.
+_PREPARED_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -136,8 +143,6 @@ class _Prepared:
     """Everything query-invariant about one (program, hints) pair."""
 
     __slots__ = (
-        "program",
-        "hints",
         "error",
         "kernel_seconds",
         "mappings",
@@ -186,30 +191,31 @@ class SurrogateEngine:
         self.auditor: Any = None
         configs = exact.space.configs()
         self._labels = tuple(config.label() for config in configs)
-        #: (id(program), id(hints), batched) -> _Prepared; strong refs
-        #: inside _Prepared pin the ids against reuse.
-        self._prepared: dict[tuple[int, int, bool], _Prepared] = {}
-        #: id(arch)/id(space) -> fingerprint verdict (fingerprints cost
-        #: a digest; identity-cache them off the hot path).
-        self._arch_ok: dict[int, tuple[GPUArchitecture, bool]] = {}
-        self._space_ok: dict[int, tuple[TransformationSpace, bool]] = {}
+        #: (program fingerprint, hints fingerprint or None, batched) ->
+        #: _Prepared, an LRU of at most ``_PREPARED_CAPACITY`` entries.
+        self._prepared: OrderedDict[
+            tuple[str, str | None, bool], _Prepared
+        ] = OrderedDict()
+        self._prepared_lock = threading.Lock()
 
     # Preparation ---------------------------------------------------------
     def _prepare(self, request: ProjectionRequest) -> _Prepared:
+        hints = request.hints
         key = (
-            id(request.program),
-            id(request.hints),
+            request.program.fingerprint(),
+            None if hints is None else hints.fingerprint(),
             bool(request.batched_transfers),
         )
-        prepared = self._prepared.get(key)
-        if (
-            prepared is not None
-            and prepared.program is request.program
-            and prepared.hints is request.hints
-        ):
-            return prepared
+        with self._prepared_lock:
+            prepared = self._prepared.get(key)
+            if prepared is not None:
+                self._prepared.move_to_end(key)
+                return prepared
         prepared = self._build(request)
-        self._prepared[key] = prepared
+        with self._prepared_lock:
+            self._prepared[key] = prepared
+            while len(self._prepared) > _PREPARED_CAPACITY:
+                self._prepared.popitem(last=False)
         return prepared
 
     def _build(self, request: ProjectionRequest) -> _Prepared:
@@ -217,8 +223,6 @@ class SurrogateEngine:
         arch = self.exact.arch
         model = self.model
         prepared = _Prepared()
-        prepared.program = program
-        prepared.hints = request.hints
         prepared.error = None
         try:
             rows = np.vstack(
@@ -265,23 +269,17 @@ class SurrogateEngine:
     def _matches(self, request: ProjectionRequest) -> str | None:
         """The structural-mismatch reason for ``request``, or ``None``."""
         arch = request.arch
-        if arch is not None and arch is not self.exact.arch:
-            cached = self._arch_ok.get(id(arch))
-            if cached is None or cached[0] is not arch:
-                ok = arch.fingerprint() == self.model.arch_fingerprint
-                self._arch_ok[id(arch)] = (arch, ok)
-                cached = (arch, ok)
-            if not cached[1]:
-                return "arch_mismatch"
+        if (
+            arch is not None
+            and arch.fingerprint() != self.model.arch_fingerprint
+        ):
+            return "arch_mismatch"
         space = request.space
-        if space is not None and space is not self.exact.space:
-            cached = self._space_ok.get(id(space))
-            if cached is None or cached[0] is not space:
-                ok = space.fingerprint() == self.model.space_fingerprint
-                self._space_ok[id(space)] = (space, ok)
-                cached = (space, ok)
-            if not cached[1]:
-                return "space_mismatch"
+        if (
+            space is not None
+            and space.fingerprint() != self.model.space_fingerprint
+        ):
+            return "space_mismatch"
         return None
 
     # Serving -------------------------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from repro.util.fingerprint import stable_digest
+from repro.util.fingerprint import memoized, stable_digest
 from repro.util.validation import check_positive
 
 
@@ -109,6 +109,7 @@ class TransformationSpace:
             * len(self.coarsening_factors)
         )
 
+    @memoized
     def fingerprint(self) -> str:
         """Stable content hash of the candidate *set*.
 

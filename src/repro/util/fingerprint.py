@@ -14,13 +14,21 @@ Two rules keep the keys useful:
   array-declaration order or statement order within a kernel.
 - **Anything that can change the result changes the hash.**  Every model
   parameter, shape, flop count, and option must appear in the payload.
+
+The hashed types are deeply immutable, so a digest never goes stale:
+:func:`memoized` stores it on the object the first time it is asked for,
+and every later call — every cache lookup of a repeated what-if — is an
+attribute read.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from typing import Any
+from typing import Any, Callable, TypeVar
+
+_T = TypeVar("_T")
 
 
 def canonical_json(payload: Any) -> str:
@@ -45,3 +53,29 @@ def stable_digest(payload: Any) -> str:
     """
     encoded = canonical_json(payload).encode("utf-8")
     return hashlib.sha256(encoded).hexdigest()
+
+
+def memoized(method: Callable[[Any], _T]) -> Callable[[Any], _T]:
+    """Compute a no-argument method once per object, then reuse it.
+
+    For ``fingerprint()``-style methods of frozen dataclasses: the first
+    call stores the result in the instance ``__dict__`` (through
+    ``object.__setattr__``, which a frozen dataclass allows), where it is
+    not a dataclass field — ``__eq__``, ``__hash__``, ``repr``,
+    ``dataclasses.asdict`` and ``dataclasses.replace`` never see it, and
+    a ``replace``-d copy starts without one.  Only for types whose every
+    field is immutable all the way down: a mutated field would leave the
+    stored result stale.
+    """
+    attr = f"_memo_{method.__name__}"
+
+    @functools.wraps(method)
+    def wrapper(self: Any) -> _T:
+        try:
+            return self.__dict__[attr]
+        except KeyError:
+            value = method(self)
+            object.__setattr__(self, attr, value)
+            return value
+
+    return wrapper

@@ -4,6 +4,11 @@ import json
 
 import pytest
 
+from repro.core.serialize import (
+    KernelSummary,
+    ProjectionSummary,
+    TransferSummary,
+)
 from repro.service.cache import (
     DISK_FORMAT,
     ProjectionCache,
@@ -11,6 +16,17 @@ from repro.service.cache import (
 )
 
 SUMMARY = {"program": "p", "kernel_seconds": 1.0}
+
+#: A real summary for the disk tier, which stores the dict form and
+#: decodes it back on a read.
+PROJECTION = ProjectionSummary(
+    program="p",
+    kernel_seconds=1.0,
+    transfer_seconds=0.25,
+    setup_seconds=0.0,
+    kernels=(KernelSummary("k", 1.0, "b256", "memory", 48),),
+    transfers=(TransferSummary("a", "H2D", 4096, 1024, 0.25, False),),
+)
 
 
 class TestMemoryTier:
@@ -53,13 +69,13 @@ class TestMemoryTier:
 class TestDiskTier:
     def test_persists_across_instances(self, tmp_path):
         first = ProjectionCache(disk_dir=tmp_path / "cache")
-        first.put("key1", SUMMARY)
+        first.put("key1", PROJECTION)
         second = ProjectionCache(disk_dir=tmp_path / "cache")
-        assert second.get("key1") == SUMMARY
+        assert second.get("key1") == PROJECTION
         assert second.stats()["hits_disk"] == 1
 
     def test_disk_hit_promotes_to_memory(self, tmp_path):
-        ProjectionCache(disk_dir=tmp_path).put("k", SUMMARY)
+        ProjectionCache(disk_dir=tmp_path).put("k", PROJECTION)
         cache = ProjectionCache(disk_dir=tmp_path)
         cache.get("k")
         cache.get("k")
@@ -92,14 +108,14 @@ class TestDiskTier:
 
     def test_clear_removes_disk_entries(self, tmp_path):
         cache = ProjectionCache(disk_dir=tmp_path)
-        cache.put("a", SUMMARY)
+        cache.put("a", PROJECTION)
         cache.clear()
         assert not list(tmp_path.glob("*.json"))
         assert ProjectionCache(disk_dir=tmp_path).get("a") is None
 
     def test_no_tmp_files_left_behind(self, tmp_path):
         cache = ProjectionCache(disk_dir=tmp_path)
-        cache.put("a", SUMMARY)
+        cache.put("a", PROJECTION)
         assert not [p for p in tmp_path.iterdir() if "tmp" in p.name]
 
 
@@ -111,8 +127,8 @@ class TestDiskCacheStats:
 
     def test_counts_entries_and_bytes(self, tmp_path):
         cache = ProjectionCache(disk_dir=tmp_path)
-        cache.put("a", SUMMARY)
-        cache.put("b", SUMMARY)
+        cache.put("a", PROJECTION)
+        cache.put("b", PROJECTION)
         stats = disk_cache_stats(tmp_path)
         assert stats["entries"] == 2
         assert stats["total_bytes"] > 0

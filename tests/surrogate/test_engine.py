@@ -1,13 +1,16 @@
 """The gated serving front-end: modes, fallbacks, caching, adapter."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.gpu.arch import gtx_280
 from repro.service.engine import ProjectionEngine, ProjectionRequest
+from repro.service.jobs import parse_request
 from repro.skeleton import KernelBuilder, ProgramBuilder
+from repro.surrogate import engine as surrogate_engine
 from repro.surrogate.engine import (
     SERVING_MODES,
     SurrogateBatchAdapter,
@@ -23,6 +26,35 @@ from tests.surrogate.conftest import request_for
 SERVED = ("VectorAdd", "4M")
 #: A workload the small model never saw (falls back out-of-domain).
 UNSEEN = ("KMeans", None)
+
+
+def inline_skeleton(n: int) -> str:
+    """A 1-D three-point stencil over ``n`` elements, as skeleton text."""
+    return (
+        f"program stencil{n}\n"
+        f"array a[{n}] f32\n"
+        f"array b[{n}] f32\n"
+        "kernel smooth\n"
+        f"  parfor i in 1..{n - 1}\n"
+        "  stmt flops=3\n"
+        "    load a[i-1]\n"
+        "    load a[i]\n"
+        "    load a[i+1]\n"
+        "    store b[i]\n"
+    )
+
+
+def counting_builds(surrogate, monkeypatch) -> list:
+    """Record every prepared-template build ``surrogate`` runs."""
+    builds = []
+    build = surrogate._build
+
+    def counted(request):
+        builds.append(request)
+        return build(request)
+
+    monkeypatch.setattr(surrogate, "_build", counted)
+    return builds
 
 
 def unservable_request():
@@ -243,10 +275,46 @@ class TestPreparedCache:
             surrogate.project(request)
         assert dict(surrogate._prepared) == prepared
 
-    def test_new_program_object_is_prepared_fresh(self, surrogate):
+    def test_same_record_twice_is_prepared_once(
+        self, surrogate, monkeypatch
+    ):
+        # Re-parsing the same inline text yields a new skeleton object
+        # with the same content: its prepared template is reused.
+        builds = counting_builds(surrogate, monkeypatch)
+        record = {"skeleton": inline_skeleton(256)}
+        for index in range(2):
+            surrogate.project(
+                parse_request(record, index, Path(".")), "surrogate"
+            )
+        assert len(builds) == 1
+        assert len(surrogate._prepared) == 1
+
+    def test_equal_registry_content_is_prepared_once(
+        self, surrogate, monkeypatch
+    ):
+        builds = counting_builds(surrogate, monkeypatch)
         surrogate.project(request_for(*SERVED))
         surrogate.project(request_for(*SERVED))  # new skeleton object
-        assert len(surrogate._prepared) == 2
+        assert len(builds) == 1
+        assert len(surrogate._prepared) == 1
+
+    def test_prepared_cache_is_bounded(self, surrogate, monkeypatch):
+        monkeypatch.setattr(surrogate_engine, "_PREPARED_CAPACITY", 4)
+        builds = counting_builds(surrogate, monkeypatch)
+        for index, extent in enumerate(range(64, 64 + 10)):
+            record = {"skeleton": inline_skeleton(extent)}
+            surrogate.project(
+                parse_request(record, index, Path(".")), "surrogate"
+            )
+            assert len(surrogate._prepared) <= 4
+        assert len(builds) == 10
+        # The most recent entries survive; the oldest were evicted.
+        record = {"skeleton": inline_skeleton(64 + 9)}
+        surrogate.project(parse_request(record, 0, Path(".")), "surrogate")
+        assert len(builds) == 10
+        record = {"skeleton": inline_skeleton(64)}
+        surrogate.project(parse_request(record, 0, Path(".")), "surrogate")
+        assert len(builds) == 11
 
     def test_iterations_scale_total_seconds(self, surrogate):
         once = surrogate.project(request_for(*SERVED))
