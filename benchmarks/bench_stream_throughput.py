@@ -1,21 +1,12 @@
-"""Streaming scorer throughput on large grids: serial fused vs pool.
+"""Fused scorer throughput on a large grid.
 
-The explorer benchmark measures the end-to-end service path on the
-144-point ``wide()`` grid, where per-call overhead dominates.  This
-bench isolates the scoring core on grids big enough to stream in
-chunks (thousands of rows from a dense synthetic space), comparing:
-
-- ``fused_argmin`` — the serial one-pass arena scorer;
-- ``StreamWorkerPool`` — shared-memory chunks scored by a persistent
-  fork pool, returning only per-chunk argmin triples.
-
-Both must return the identical ``(index, seconds, legal)`` triple; the
-bench asserts that before timing.  Rates land in the ``stream_core``
-section of ``BENCH_explorer.json``.  The pool benchmarks are skipped
-where the ``fork`` start method is unavailable.
+The explorer benchmark measures the end-to-end search on the 144-point
+``wide()`` grid, where per-call overhead dominates.  This bench isolates
+the scoring core, :func:`~repro.gpu.vectorized.fused_argmin`, on a dense
+synthetic space of 2048 rows and records its rate in the ``stream_core``
+section of ``BENCH_explorer.json``.
 """
 
-import multiprocessing
 import time
 
 import pytest
@@ -23,12 +14,9 @@ import pytest
 from repro.gpu.arch import quadro_fx_5600
 from repro.gpu.model import GpuPerformanceModel
 from repro.gpu.vectorized import ScoreArena, fused_argmin
-from repro.service.parallel import StreamWorkerPool
 from repro.transform.analysis import analyze_kernel
 from repro.transform.space import TransformationSpace
 from repro.workloads.registry import get_workload
-
-fork_available = "fork" in multiprocessing.get_all_start_methods()
 
 #: Dense synthetic grid: 16 blocks x 2 smem x 8 unrolls x 8 coarsenings
 #: = 2048 candidate mappings per kernel.
@@ -76,49 +64,15 @@ def test_serial_fused(benchmark, dense_columns):
     )
 
 
-@pytest.mark.skipif(not fork_available, reason="needs the fork start method")
-def test_pool_streaming(benchmark, dense_columns):
-    model, columns = dense_columns
-    pool = StreamWorkerPool(workers=2)
-    try:
-        pool.score_columns(model, columns)  # fork + attach once, up front
-        benchmark.pedantic(
-            lambda: pool.score_columns(model, columns),
-            rounds=5,
-            warmup_rounds=1,
-        )
-    finally:
-        pool.close()
-
-
 def test_record_core_rates(dense_columns, bench_json):
-    """Serial vs pool on the same grid, identical triples, rates to JSON."""
+    """The serial fused core's rate on the dense grid, to JSON."""
     model, columns = dense_columns
     rows = int(columns["block_size"].shape[0])
     arena = ScoreArena()
-
-    serial_result = fused_argmin(model, columns, arena)
     serial = _best_of(lambda: fused_argmin(model, columns, arena))
-    payload = {
-        "rows": rows,
-        "serial_fused_configs_per_s": rows / serial,
-    }
-    line = f"\nserial fused: {rows / serial:,.0f} configs/s"
-
-    if fork_available:
-        pool = StreamWorkerPool(workers=2)
-        try:
-            assert pool.score_columns(model, columns) == serial_result
-            pooled = _best_of(lambda: pool.score_columns(model, columns))
-        finally:
-            pool.close()
-        payload["pool_configs_per_s"] = rows / pooled
-        payload["pool_workers"] = 2
-        line += f"   pool(2): {rows / pooled:,.0f} configs/s"
-
-    bench_json("stream_core", payload)
-    print(line)
-    # The serial fused core alone must clear the headline rate; the
-    # pool exists for grids past memory-bandwidth saturation, not for
-    # a speedup on this size.
+    bench_json(
+        "stream_core",
+        {"rows": rows, "serial_fused_configs_per_s": rows / serial},
+    )
+    print(f"\nserial fused: {rows / serial:,.0f} configs/s")
     assert rows / serial >= 450_000

@@ -5,9 +5,10 @@ Four asserted contracts, the acceptance criteria of the surrogate tier
 
 1. **latency** — warm forced-surrogate serving answers with a p50 of
    at most 100 µs/query;
-2. **speedup** — the surrogate path is >= 100x faster than the *warm*
-   streaming explorer on the same query set (total wall over all
-   workloads x datasets);
+2. **speedup** — the surrogate path is >= 100x faster than the fused
+   explorer's search on the same query set (total wall over all
+   workloads x datasets), with every kernel's analysis and column grid
+   built before the timed loop;
 3. **agreement** — on a held-out row split of the training grid, at
    least 90% of *accepted* queries name the exact argmin's mapping
    class;
@@ -26,13 +27,15 @@ import pytest
 
 from repro.gpu.arch import quadro_fx_5600
 from repro.gpu.model import GpuPerformanceModel
+from repro.gpu.vectorized import ScoreArena, fused_seconds
 from repro.pcie.presets import pcie_gen1_bus
 from repro.service.engine import ProjectionEngine, ProjectionRequest
 from repro.surrogate.dataset import generate_training_set, split_rows
 from repro.surrogate.engine import SurrogateEngine
 from repro.surrogate.model import evaluate_model, train_surrogate
+from repro.transform.analysis import analyze_kernel
+from repro.transform.explorer import top_projection, top_rows
 from repro.transform.space import TransformationSpace
-from repro.transform.stream import StreamingExplorer
 from repro.workloads.registry import all_workloads
 
 LATENCY_P50_GATE_US = 100.0
@@ -53,9 +56,7 @@ def serving_stack():
     model = train_surrogate(training.subset(fit_idx), arch, space)
     report = evaluate_model(model, training.subset(holdout_idx))
 
-    engine = ProjectionEngine(
-        arch=arch, bus=pcie_gen1_bus(), space=space, explorer="stream"
-    )
+    engine = ProjectionEngine(arch=arch, bus=pcie_gen1_bus(), space=space)
     surrogate = SurrogateEngine(model, engine)
 
     requests = []
@@ -119,28 +120,47 @@ def test_latency_p50_under_100us(serving_stack, surrogate_json):
     )
 
 
-def test_speedup_vs_warm_stream_explorer(serving_stack, surrogate_json):
-    """Gate 2: >= 100x over the warm streaming explorer, same queries."""
+def test_speedup_vs_warm_fused_explorer(serving_stack, surrogate_json):
+    """Gate 2: >= 100x over the fused explorer's search, same queries."""
     surrogate, engine, _report, requests = serving_stack
     served = _served_requests(surrogate, requests)
 
-    # Warm streaming explorer: per-kernel analyses and column grids
-    # cached, then the best of three full passes over the query set.
-    # (Not engine.project - its request cache would answer from memory
-    # and we are timing the search, not the cache.)
-    explorer = StreamingExplorer(GpuPerformanceModel(engine.arch))
-    space = engine.space
+    # The fused explorer's per-kernel search with its set-up hoisted:
+    # analyses and column grids are built here, so the timed loop is one
+    # fused pass plus the ranking head per kernel.  (Not engine.project -
+    # its caches would answer from memory and we are timing the search.)
+    model = GpuPerformanceModel(engine.arch)
+    configs = engine.space.configs()
+    arena = ScoreArena()
+    grids = []
+    for request in served:
+        program = request.program
+        for kernel in program.kernels:
+            analysis = analyze_kernel(
+                kernel, program.array_map, model.arch.strict_coalescing
+            )
+            columns, index_map, _errors = analysis.config_columns(configs)
+            grids.append((kernel.name, analysis, columns, index_map.tolist()))
 
-    def stream_pass():
-        for request in served:
-            explorer.project_program(request.program, space)
+    def fused_pass():
+        for name, analysis, columns, index_map in grids:
+            seconds, explored = fused_seconds(model, columns, arena)
+            (rows,), _legal = top_rows(seconds)
+            top_projection(
+                name,
+                model,
+                len(configs),
+                explored,
+                [configs[index_map[r]] for r in rows],
+                analysis.characteristics,
+            )
 
-    stream_pass()  # warm
-    stream_wall = float("inf")
+    fused_pass()  # warm
+    fused_wall = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        stream_pass()
-        stream_wall = min(stream_wall, time.perf_counter() - start)
+        fused_pass()
+        fused_wall = min(fused_wall, time.perf_counter() - start)
 
     for request in served:
         surrogate.project(request, "surrogate")  # warm
@@ -151,23 +171,23 @@ def test_speedup_vs_warm_stream_explorer(serving_stack, surrogate_json):
             surrogate.project(request, "surrogate")
         surrogate_wall = min(surrogate_wall, time.perf_counter() - start)
 
-    speedup = stream_wall / surrogate_wall
+    speedup = fused_wall / surrogate_wall
     surrogate_json(
         "speedup",
         {
             "queries": len(served),
-            "stream_queries_per_s": len(served) / stream_wall,
+            "fused_queries_per_s": len(served) / fused_wall,
             "surrogate_queries_per_s": len(served) / surrogate_wall,
-            "surrogate_over_stream": speedup,
+            "surrogate_over_fused": speedup,
         },
     )
     print(
-        f"\nwarm stream: {stream_wall / len(served) * 1e6:,.0f} µs/query   "
+        f"\nwarm fused: {fused_wall / len(served) * 1e6:,.0f} µs/query   "
         f"surrogate: {surrogate_wall / len(served) * 1e6:.1f} µs/query   "
         f"speedup {speedup:,.0f}x"
     )
     assert speedup >= SPEEDUP_GATE, (
-        f"surrogate is only {speedup:.0f}x faster than the warm stream "
+        f"surrogate is only {speedup:.0f}x faster than the fused "
         f"explorer (gate: {SPEEDUP_GATE:.0f}x)"
     )
 
@@ -208,7 +228,7 @@ def test_fallback_is_bitwise_exact(serving_stack):
         arch=engine.arch,
         bus=engine.bus,
         space=engine.space,
-        explorer="stream",
+        explorer="reference",
     )
     for request in requests:
         served = gated.project(request)

@@ -36,7 +36,7 @@ DEFAULT_THRESHOLD = 0.20
 def throughput_leaves(data: object, prefix: str = "") -> dict[str, float]:
     """Flatten a benchmark JSON tree to its tracked numeric leaves.
 
-    Keys become dotted paths (``stream.stream_warm_configs_per_s``);
+    Keys become dotted paths (``explorer.fast_configs_per_s``);
     only leaves whose final key component carries a tracked suffix are
     kept.
     """

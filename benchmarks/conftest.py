@@ -26,10 +26,10 @@ from repro.workloads.registry import all_workloads, paper_workloads
 BENCH_DIR = Path(__file__).resolve().parent / "out"
 
 #: Machine-readable throughput results (configs/s per scoring path);
-#: written incrementally by the explorer/streaming benchmarks.
+#: written incrementally by the explorer and fused-core benchmarks.
 BENCH_JSON = BENCH_DIR / "BENCH_explorer.json"
 
-#: Surrogate serving-path numbers (µs/query, speedup vs stream,
+#: Surrogate serving-path numbers (µs/query, speedup vs the fused search,
 #: agreement) from ``bench_surrogate_throughput.py``.
 SURROGATE_JSON = BENCH_DIR / "BENCH_surrogate.json"
 
@@ -38,7 +38,7 @@ def _merge_json(path: Path, section: str, payload: dict) -> None:
     """Read-merge-write one section into a benchmark JSON.
 
     Merging keeps results from separate pytest invocations (explorer vs
-    streaming benches in the same CI job) in one file.
+    fused-core benches in the same CI job) in one file.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     data = {}
@@ -102,8 +102,8 @@ def kernel_suite():
     """(workload name, kernel, program) across every registered workload.
 
     Largest dataset per workload, first two kernels per program (caps
-    PathFinder's 64 rows) — the shared workload mix of the explorer and
-    streaming throughput benchmarks.
+    PathFinder's 64 rows) — the workload mix of the explorer throughput
+    benchmark.
     """
     suite = []
     for workload in all_workloads():

@@ -110,28 +110,26 @@ def _build_parser() -> argparse.ArgumentParser:
         version=f"repro {package_version()}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    explorer = argparse.ArgumentParser(add_help=False)
+    explorer.add_argument(
+        "--reference-explorer", action="store_true",
+        help="force the scalar reference explorer instead of the fused "
+        "path (equal results; see docs/EXPLORER.md)",
+    )
 
     sub.add_parser("list", help="list workloads and datasets")
 
     sub.add_parser("calibrate", help="run the 2-point bus calibration")
 
-    p = sub.add_parser("project", help="project one workload/dataset")
+    p = sub.add_parser(
+        "project", parents=[explorer], help="project one workload/dataset"
+    )
     p.add_argument("workload", help="CFD | HotSpot | SRAD | Stassuij | VectorAdd")
     p.add_argument("--dataset", default=None, help="dataset label (default: largest)")
     p.add_argument("--iterations", type=int, default=1)
     p.add_argument(
         "--allocation", action="store_true",
         help="charge one-time memory-allocation overhead",
-    )
-    p.add_argument(
-        "--reference-explorer", action="store_true",
-        help="force the scalar reference explorer instead of the fast "
-        "path (identical results; see docs/EXPLORER.md)",
-    )
-    p.add_argument(
-        "--stream-explorer", action="store_true",
-        help="use the fused streaming explorer (argmin-only scoring; "
-        "same best mappings, see docs/EXPLORER.md)",
     )
     p.add_argument(
         "--surrogate", default=None, metavar="MODEL",
@@ -141,6 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "project-file",
+        parents=[explorer],
         help="project a skeleton written in the text format "
         "(see repro.skeleton.parser)",
     )
@@ -150,14 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="measured CPU time per iteration in ms (for a speedup verdict)",
     )
     p.add_argument("--iterations", type=int, default=1)
-    p.add_argument(
-        "--reference-explorer", action="store_true",
-        help="force the scalar reference explorer instead of the fast path",
-    )
-    p.add_argument(
-        "--stream-explorer", action="store_true",
-        help="use the fused streaming explorer (argmin-only scoring)",
-    )
 
     p = sub.add_parser("advise", help="pinned vs pageable recommendation")
     p.add_argument("workload")
@@ -204,12 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--argmin", action="store_true",
-        help="find only the best point of the size axis, pruning whole "
-        "tiles whose provable lower bound exceeds the incumbent",
-    )
-    p.add_argument(
-        "--tile", type=int, default=4,
-        help="points per pruning tile for --argmin (default: 4)",
+        help="report only the best point of the size axis (or of the "
+        "--arch fleet)",
     )
     p.add_argument(
         "--arch", action="append", default=None, metavar="ID",
@@ -235,6 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "batch",
+        parents=[explorer],
         help="project a JSONL file of requests through the service "
         "engine (cached + parallel; see docs/SERVICE.md)",
     )
@@ -261,19 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="disable result caching for this run",
     )
     p.add_argument(
-        "--reference-explorer", action="store_true",
-        help="force the scalar reference explorer instead of the fast path",
-    )
-    p.add_argument(
-        "--stream-explorer", action="store_true",
-        help="use the fused streaming explorer (argmin-only scoring)",
-    )
-    p.add_argument(
-        "--prune", action="store_true",
-        help="enable bound-based pruning on the fast path "
-        "(same best mappings; losing candidates are skipped early)",
-    )
-    p.add_argument(
         "--surrogate", default=None, metavar="MODEL",
         help="serve the batch through a trained surrogate model (.npz) "
         "with a confidence-gated exact fallback",
@@ -293,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = ssub.add_parser(
         "train",
-        help="label a size grid through the streaming scorer, fit the "
+        help="label a size grid through the fused scorer, fit the "
         "ridge+exemplar model, calibrate, and save",
     )
     sp.add_argument(
@@ -596,19 +571,8 @@ def _cmd_calibrate(args, out) -> int:
 
 
 def _explorer_choice(args) -> str:
-    """Resolve the explorer flags (mutually exclusive) to a path name."""
-    if getattr(args, "reference_explorer", False) and getattr(
-        args, "stream_explorer", False
-    ):
-        raise ValueError(
-            "--reference-explorer and --stream-explorer are "
-            "mutually exclusive"
-        )
-    if getattr(args, "reference_explorer", False):
-        return "reference"
-    if getattr(args, "stream_explorer", False):
-        return "stream"
-    return "fast"
+    """The explorer path the ``--reference-explorer`` flag selects."""
+    return "reference" if args.reference_explorer else "fast"
 
 
 def _surrogate_serving(model_path, seed):
@@ -618,9 +582,7 @@ def _surrogate_serving(model_path, seed):
     from repro.surrogate import SurrogateEngine, load_model
 
     ctx = ExperimentContext(seed=seed)
-    engine = ProjectionEngine(
-        arch=quadro_fx_5600(), bus=ctx.bus_model, explorer="stream"
-    )
+    engine = ProjectionEngine(arch=quadro_fx_5600(), bus=ctx.bus_model)
     model = load_model(model_path, engine.arch, engine.space)
     return SurrogateEngine(model, engine), engine
 
@@ -1013,20 +975,11 @@ def _cmd_sweep(args, out) -> int:
         if args.axis != "size":
             raise ValueError("--argmin only applies to --axis size")
         datasets = list(workload.datasets())
-        result = engine.argmin_workload(workload, tile=args.tile)
-        stats = result.stats
-        out(
-            f"{workload.name}: best of {stats['points']} size point(s) "
-            f"(tile {args.tile})"
-        )
+        result = engine.argmin_workload(workload)
+        out(f"{workload.name}: best of {len(datasets)} size point(s)")
         out(
             f"  best: {datasets[result.index].label} -> "
             f"{seconds_to_human(result.seconds)}"
-        )
-        out(
-            f"  pruning: {stats['points_evaluated']} point(s) evaluated, "
-            f"{stats['points_pruned']} pruned "
-            f"({stats['tiles_pruned']}/{stats['tiles']} tile(s))"
         )
         return 0
 
@@ -1116,7 +1069,6 @@ def _cmd_batch(args, out) -> int:
         cache=cache,
         max_workers=max(1, args.jobs),
         explorer=_explorer_choice(args),
-        prune=args.prune,
     )
     batch_engine = engine
     if args.surrogate is not None:

@@ -29,12 +29,10 @@ class Grophecy:
         gpu: GPUArchitecture | GpuPerformanceModel,
         space: TransformationSpace | None = None,
         explorer: str = "fast",
-        prune: bool = False,
     ) -> None:
         """``explorer`` selects the exploration path (``"fast"`` or the
-        scalar ``"reference"`` oracle — identical results, see
-        ``docs/EXPLORER.md``); ``prune=True`` enables bound-based
-        pruning on the fast path."""
+        scalar ``"reference"`` oracle — equal results, see
+        ``docs/EXPLORER.md``)."""
         self._model = (
             gpu
             if isinstance(gpu, GpuPerformanceModel)
@@ -42,7 +40,6 @@ class Grophecy:
         )
         self._space = space or TransformationSpace.default()
         self._explorer = explorer
-        self._prune = prune
 
     @property
     def model(self) -> GpuPerformanceModel:
@@ -55,11 +52,7 @@ class Grophecy:
     def project_kernels(self, program: ProgramSkeleton) -> ProgramProjection:
         """Best-mapping kernel projection for each kernel of the program."""
         return project_program(
-            program,
-            self._model,
-            self._space,
-            explorer=self._explorer,
-            prune=self._prune,
+            program, self._model, self._space, explorer=self._explorer
         )
 
 
@@ -80,12 +73,11 @@ class GrophecyPlusPlus(Grophecy):
         allocation: AllocationModel | None = None,
         memory: MemoryKind = MemoryKind.PINNED,
         explorer: str = "fast",
-        prune: bool = False,
     ) -> None:
         """``allocation``: optionally charge one-time buffer-allocation
         costs (the paper's future-work extension); ``memory`` selects the
         host allocation kind those costs assume."""
-        super().__init__(gpu, space, explorer=explorer, prune=prune)
+        super().__init__(gpu, space, explorer=explorer)
         self._bus = bus
         self._batched = batched_transfers
         self._allocation = allocation

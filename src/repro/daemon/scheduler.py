@@ -166,9 +166,8 @@ class Scheduler:
         still running when the deadline passes is requeued anyway — the
         journal then replays it as interrupted on the next start.
 
-        Also releases the process-wide worker pools (the shared thread
-        pool the batch runner fans out on, and the shared-memory
-        streaming pool when one was started) via
+        Also releases the process-wide thread pool the batch runner fans
+        out on via
         :meth:`~repro.service.engine.ProjectionEngine.close` — the
         daemon owns the process, so nothing else will want them.
         """

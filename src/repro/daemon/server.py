@@ -183,6 +183,7 @@ class DaemonApp:
         clean = self.scheduler.drain(self.drain_deadline)
         if self.auditor is not None:
             self.auditor.stop()
+        self.events.close()
         return clean
 
     # Handlers: each returns ``(http_status, body_dict)`` ------------------

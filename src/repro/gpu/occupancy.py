@@ -38,7 +38,7 @@ def occupancy(
 
     Raises ``ValueError`` if a single block already exceeds a per-SM
     resource (unlaunchable configuration) — the transformation explorer
-    relies on this to prune illegal mappings.
+    relies on this to skip illegal mappings.
     """
     block = chars.block_size
     if block > arch.max_threads_per_sm:

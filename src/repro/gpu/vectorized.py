@@ -1,397 +1,37 @@
-"""Vectorized MWP/CWP scoring of whole characteristic batches.
+"""Vectorized MWP/CWP scoring of a whole candidate grid.
 
-:func:`score_batch` replays :meth:`GpuPerformanceModel.breakdown` —
-occupancy included — over a batch of :class:`KernelCharacteristics` as
-NumPy structure-of-arrays math instead of N independent scalar passes;
-:func:`score_grid` stacks many such batches (one per sweep point) into a
-single ``(configs x points)`` evaluation for the parametric sweep engine.
-Every elementwise operation mirrors the scalar model's operation *and
-order*, so the resulting ``seconds`` are bitwise-equal to the reference
-(IEEE-754 binary64 arithmetic is deterministic; only re-association
-could diverge, and nothing here re-associates).
-
-It also derives a cheap **lower bound** on each candidate's time —
-``exec_cycles`` can never drop below the raw memory cycles nor below the
-pipelined memory/compute floor ``N * mem * comp / (mem + comp)``,
-whatever regime the model lands in (see ``docs/EXPLORER.md`` for the
-per-regime proof) — which powers the explorer's bound-based pruning:
-fully score one promising seed, then skip every candidate whose floor
-already exceeds the seed's actual time.
+:func:`fused_seconds` replays :meth:`GpuPerformanceModel.breakdown` —
+occupancy included — over a structure-of-arrays candidate grid (the
+:meth:`~repro.transform.analysis.KernelAnalysis.config_columns` layout)
+in one NumPy pass over reused :class:`ScoreArena` buffers.  Every
+elementwise operation mirrors the scalar model's operation *and order*,
+so legal rows' ``seconds`` are bitwise-equal to the reference (IEEE-754
+binary64 arithmetic is deterministic; only re-association could
+diverge, and nothing here re-associates).  The scalar model stays the
+only source of full :class:`~repro.gpu.model.GpuTimingBreakdown`
+records: callers materialize just the rows they keep.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.gpu.characteristics import KernelCharacteristics
-from repro.gpu.model import GpuPerformanceModel, GpuTimingBreakdown
-from repro.gpu.occupancy import OccupancyResult
-from repro.obs.trace import span as trace_span
-
-#: Resource names in the scalar occupancy's dict-insertion order; the
-#: stacked argmin below reproduces its first-minimum limiter choice.
-_LIMITERS = ("threads", "blocks", "warps", "registers", "shared_mem")
-_REGIMES = ("balanced", "memory-bound", "compute-bound")
-#: The lower bound's proof tolerates the model's ``math.isclose`` slop
-#: (1e-9 relative); shave a comfortably larger margin so the bound never
-#: edges above the true time through rounding.
-_BOUND_SAFETY = 1.0 - 1e-6
-
-_ERR_BLOCK, _ERR_REGS, _ERR_SMEM, _ERR_FIT = 1, 2, 3, 4
-
-#: Interned :class:`OccupancyResult` instances keyed by field values —
-#: the scorer would otherwise rebuild the same few dozen results for
-#: every row of every batch.  Bounded defensively; real sessions see a
-#: handful of entries per architecture.
-_OCC_CACHE: dict[tuple, OccupancyResult] = {}
-_OCC_CACHE_MAX = 4096
-
-
-class _Batch:
-    """Structure-of-arrays view of a characteristics batch on one model."""
-
-    def __init__(
-        self,
-        model: GpuPerformanceModel,
-        chars_list: list[KernelCharacteristics],
-        columns: dict[str, np.ndarray] | None = None,
-    ) -> None:
-        self.model = model
-        self.chars = chars_list
-        arch = model.arch
-        if columns is not None:
-            # Caller-supplied structure-of-arrays view of ``chars_list``
-            # (same values the attribute sweep below would read) — the
-            # sweep engine tiles the point-invariant fields instead of
-            # re-reading them from every row object.
-            self.block = columns["block_size"]
-            self.regs = columns["registers_per_thread"]
-            self.smem = columns["shared_mem_per_block"]
-            threads = columns["threads"]
-            self.bpa = columns["bytes_per_access"]
-            self.mem_insts = columns["mem_insts_per_thread"]
-            self.comp_insts = columns["comp_insts_per_thread"]
-            self.f_coal = columns["coalesced_fraction"]
-            self.syncs = columns["syncs_per_thread"]
-        else:
-            as_i64 = lambda xs: np.asarray(xs, dtype=np.int64)  # noqa: E731
-            as_f64 = lambda xs: np.asarray(xs, dtype=np.float64)  # noqa: E731
-            self.block = as_i64([c.block_size for c in chars_list])
-            self.regs = as_i64([c.registers_per_thread for c in chars_list])
-            self.smem = as_i64([c.shared_mem_per_block for c in chars_list])
-            threads = as_i64([c.threads for c in chars_list])
-            self.bpa = as_i64([c.bytes_per_access for c in chars_list])
-            self.mem_insts = as_f64([c.mem_insts_per_thread for c in chars_list])
-            self.comp_insts = as_f64(
-                [c.comp_insts_per_thread for c in chars_list]
-            )
-            self.f_coal = as_f64([c.coalesced_fraction for c in chars_list])
-            self.syncs = as_f64([c.syncs_per_thread for c in chars_list])
-        # num_blocks = ceil(threads / block_size), replaying the scalar
-        # property's float division (cheaper than a property call per row).
-        self.nb = np.ceil(threads / self.block).astype(np.int64)
-        # --- Occupancy (vectorized repro.gpu.occupancy.occupancy) --------
-        self.warps_per_block = -(-self.block // arch.warp_size)
-        regs_per_block = self.regs * self.block
-        big = np.iinfo(np.int64).max
-        limits = np.stack(
-            [
-                arch.max_threads_per_sm // self.block,
-                np.full(len(chars_list), arch.max_blocks_per_sm, np.int64),
-                arch.max_warps_per_sm // self.warps_per_block,
-                arch.registers_per_sm // np.maximum(regs_per_block, 1),
-                np.where(
-                    self.smem > 0,
-                    arch.shared_mem_per_sm // np.maximum(self.smem, 1),
-                    big,
-                ),
-            ]
-        )
-        self.limiter_idx = np.argmin(limits, axis=0)
-        raw_blocks_per_sm = np.min(limits, axis=0)
-
-        # Error precedence matches the scalar raise order exactly.
-        err = np.zeros(len(chars_list), dtype=np.int64)
-        err_block = self.block > arch.max_threads_per_sm
-        err_regs = ~err_block & (regs_per_block > arch.registers_per_sm)
-        err_smem = (
-            ~err_block & ~err_regs & (self.smem > arch.shared_mem_per_sm)
-        )
-        err_fit = (
-            ~err_block & ~err_regs & ~err_smem & (raw_blocks_per_sm < 1)
-        )
-        err[err_block] = _ERR_BLOCK
-        err[err_regs] = _ERR_REGS
-        err[err_smem] = _ERR_SMEM
-        err[err_fit] = _ERR_FIT
-        self.err = err
-        self.legal = err == 0
-        self._regs_per_block = regs_per_block
-
-        cap = np.maximum(
-            1, np.ceil(self.nb / arch.num_sms).astype(np.int64)
-        )
-        # Illegal rows carry dummy occupancy (1 block/SM); their timing
-        # arrays are computed but never read.
-        self.blocks_per_sm = np.minimum(
-            np.where(self.legal, raw_blocks_per_sm, 1), cap
-        )
-        self.active_warps = self.blocks_per_sm * self.warps_per_block
-        self.n_warps = np.maximum(1, self.active_warps)
-        self.n_f = self.n_warps.astype(np.float64)
-
-        # --- Cheap timing terms (model.breakdown stage shared with the
-        # lower bound) ----------------------------------------------------
-        self.f_uncoal = 1.0 - self.f_coal
-        uncoal_trans = arch.uncoal_transactions_per_warp
-        dep_uncoal = arch.departure_del_uncoal * uncoal_trans
-        self.departure_delay = (
-            self.f_coal * arch.departure_del_coal + self.f_uncoal * dep_uncoal
-        )
-        mem_l_uncoal = (
-            arch.mem_latency_cycles
-            + (uncoal_trans - 1) * arch.departure_del_uncoal
-        )
-        self.mem_l = (
-            self.f_coal * arch.mem_latency_cycles
-            + self.f_uncoal * mem_l_uncoal
-        )
-        self.mem_cycles = self.mem_l * self.mem_insts
-        comp_cycles = arch.issue_cycles * (self.comp_insts + self.mem_insts)
-        self.comp_cycles = np.maximum(comp_cycles, arch.issue_cycles)
-        self.active_sms = np.minimum(arch.num_sms, self.nb)
-        self.repetitions = np.maximum(
-            1,
-            np.ceil(
-                self.nb / (self.blocks_per_sm * self.active_sms)
-            ).astype(np.int64),
-        )
-        self.sync_term = (arch.sync_cycles * self.syncs) * self.n_f
-
-    # ------------------------------------------------------------------ #
-    def bound_seconds(self) -> np.ndarray:
-        """A provable lower bound on each row's projected seconds.
-
-        ``exec_cycles >= max(mem_cycles, N*mem*comp/(mem+comp)) + sync``
-        holds in every regime; ``repetitions`` and the launch overhead
-        transfer the bound to seconds.  ``_BOUND_SAFETY`` absorbs the
-        model's isclose slop and rounding.
-        """
-        pipelined_floor = (
-            self.n_f
-            * self.mem_cycles
-            * self.comp_cycles
-            / (self.mem_cycles + self.comp_cycles)
-        )
-        bound_cycles = (
-            np.maximum(self.mem_cycles, pipelined_floor)
-            + np.where(self.syncs != 0.0, self.sync_term, 0.0)
-        ) * _BOUND_SAFETY
-        return (
-            bound_cycles * self.repetitions / self.model.arch.clock_hz
-            + self.model.launch_overhead
-        )
-
-    def exec_at(self, idx: np.ndarray) -> dict[str, np.ndarray]:
-        """Full regime selection + exec cycles for the rows in ``idx``."""
-        arch = self.model.arch
-        bpa = self.bpa[idx]
-        f_coal = self.f_coal[idx]
-        f_uncoal = self.f_uncoal[idx]
-        mem_l = self.mem_l[idx]
-        mi = self.mem_insts[idx]
-        mc = self.mem_cycles[idx]
-        cc = self.comp_cycles[idx]
-        nf = self.n_f[idx]
-
-        payload = bpa * arch.warp_size
-        waste = np.maximum(
-            1.0, GpuPerformanceModel.MIN_TRANSACTION_BYTES / bpa
-        )
-        consumed = payload * (f_coal + f_uncoal * waste)
-        bw_per_warp = arch.clock_hz * consumed / mem_l
-        mwp_peak_bw = arch.mem_bandwidth / (bw_per_warp * self.active_sms[idx])
-        mwp_without_bw = mem_l / self.departure_delay[idx]
-        mwp = np.maximum(
-            1.0, np.minimum(np.minimum(mwp_without_bw, mwp_peak_bw), nf)
-        )
-        cwp_full = np.where(mi > 0, (mc + cc) / cc, 1.0)
-        cwp = np.minimum(cwp_full, nf)
-        mpic = np.zeros_like(cc)
-        np.divide(cc, mi, out=mpic, where=mi != 0)
-
-        m0 = mi == 0
-        m1 = ~m0 & _isclose(mwp, nf) & _isclose(cwp, nf)
-        m2 = ~m0 & ~m1 & (cwp >= mwp)
-        exec_cycles = np.select(
-            [m0, m1, m2],
-            [
-                cc * nf,
-                mc + cc + mpic * (mwp - 1),
-                mc * (nf / mwp) + mpic * (mwp - 1),
-            ],
-            default=mem_l + cc * nf,
-        )
-        regime = np.select([m0, m1, m2], [2, 0, 1], default=2)
-        exec_cycles = np.where(
-            self.syncs[idx] != 0.0,
-            exec_cycles + self.sync_term[idx],
-            exec_cycles,
-        )
-        cycles = exec_cycles * self.repetitions[idx]
-        seconds = cycles / arch.clock_hz + self.model.launch_overhead
-        return {
-            "seconds": seconds,
-            "cycles": cycles,
-            "regime": regime,
-            "mwp": mwp,
-            "cwp": cwp,
-            "mem_cycles": mc,
-            "comp_cycles": cc,
-        }
-
-    # ------------------------------------------------------------------ #
-    def error_message(self, i: int) -> str:
-        """The exact ValueError text the scalar occupancy raises for row i."""
-        arch = self.model.arch
-        chars = self.chars[i]
-        kind = int(self.err[i])
-        if kind == _ERR_BLOCK:
-            return (
-                f"block size {int(self.block[i])} exceeds "
-                f"{arch.max_threads_per_sm} threads/SM on {arch.name}"
-            )
-        if kind == _ERR_REGS:
-            return (
-                f"kernel {chars.name!r} needs {int(self._regs_per_block[i])} "
-                f"registers per block; SM has {arch.registers_per_sm}"
-            )
-        if kind == _ERR_SMEM:
-            return (
-                f"kernel {chars.name!r} needs {int(self.smem[i])}B shared "
-                f"memory per block; SM has {arch.shared_mem_per_sm}B"
-            )
-        limiter = _LIMITERS[int(self.limiter_idx[i])]
-        return (
-            f"kernel {chars.name!r} cannot fit one block per SM "
-            f"(limited by {limiter})"
-        )
-
-    def materialize(
-        self, idx: np.ndarray, row: dict[str, np.ndarray]
-    ) -> list[GpuTimingBreakdown]:
-        """Dataclass results for the rows in ``idx`` (order preserved).
-
-        Bulk ``tolist()`` conversion first: it yields native Python
-        ints/floats in one C pass, instead of a NumPy-scalar box plus an
-        int()/float() unbox per field per row.
-        """
-        arch = self.model.arch
-        max_warps = arch.max_warps_per_sm
-        bps = self.blocks_per_sm[idx].tolist()
-        wpb = self.warps_per_block[idx].tolist()
-        aw = self.active_warps[idx].tolist()
-        nw = self.n_warps[idx].tolist()
-        rep = self.repetitions[idx].tolist()
-        lim = self.limiter_idx[idx].tolist()
-        sec = row["seconds"].tolist()
-        cyc = row["cycles"].tolist()
-        reg = row["regime"].tolist()
-        mwp = row["mwp"].tolist()
-        cwp = row["cwp"].tolist()
-        mc = row["mem_cycles"].tolist()
-        cc = row["comp_cycles"].tolist()
-        out = []
-        # Both result types are frozen dataclasses, so normal construction
-        # pays one ``object.__setattr__`` per field; at two objects per
-        # candidate row that dominates this loop.  Building the instances
-        # via ``__new__`` and filling the field dict directly produces
-        # identical objects (the fields carry no validation) much faster.
-        chars = self.chars
-        names = [chars[i].name for i in idx.tolist()]
-        new = object.__new__
-        occ_cache = _OCC_CACHE
-        for j in range(len(names)):
-            # Occupancy repeats heavily across rows (one distinct result
-            # per config modulo the block-count cap), so intern instances:
-            # they are frozen, and sharing changes nothing observable.
-            occ_key = (bps[j], wpb[j], aw[j], lim[j], max_warps)
-            occ = occ_cache.get(occ_key)
-            if occ is None:
-                if len(occ_cache) >= _OCC_CACHE_MAX:  # pragma: no cover
-                    occ_cache.clear()
-                occ = new(OccupancyResult)
-                fields = occ.__dict__
-                fields["blocks_per_sm"] = bps[j]
-                fields["warps_per_block"] = wpb[j]
-                fields["active_warps"] = aw[j]
-                fields["limiter"] = _LIMITERS[lim[j]]
-                fields["_max_warps"] = max_warps
-                occ_cache[occ_key] = occ
-            breakdown = new(GpuTimingBreakdown)
-            fields = breakdown.__dict__
-            fields["kernel"] = names[j]
-            fields["seconds"] = sec[j]
-            fields["cycles"] = cyc[j]
-            fields["regime"] = _REGIMES[reg[j]]
-            fields["mwp"] = mwp[j]
-            fields["cwp"] = cwp[j]
-            fields["active_warps"] = nw[j]
-            fields["repetitions"] = rep[j]
-            fields["mem_cycles_per_warp"] = mc[j]
-            fields["comp_cycles_per_warp"] = cc[j]
-            fields["occupancy"] = occ
-            out.append(breakdown)
-        return out
-
-
-def _isclose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``math.isclose`` (rel_tol=1e-9, abs_tol=0) elementwise."""
-    return np.abs(a - b) <= 1e-9 * np.maximum(np.abs(a), np.abs(b))
-
-
-#: The nine structure-of-arrays fields of a candidate grid, in the fixed
-#: order the shared-memory streaming protocol lays them out.
-COLUMN_FIELDS = (
-    ("block_size", np.int64),
-    ("registers_per_thread", np.int64),
-    ("shared_mem_per_block", np.int64),
-    ("threads", np.int64),
-    ("bytes_per_access", np.int64),
-    ("mem_insts_per_thread", np.float64),
-    ("comp_insts_per_thread", np.float64),
-    ("coalesced_fraction", np.float64),
-    ("syncs_per_thread", np.float64),
-)
-
-
-def columns_from_chars(
-    chars_list: list[KernelCharacteristics],
-) -> dict[str, np.ndarray]:
-    """The structure-of-arrays view :class:`_Batch` builds, as a dict."""
-    out: dict[str, np.ndarray] = {}
-    for field, dtype in COLUMN_FIELDS:
-        out[field] = np.asarray(
-            [getattr(c, field) for c in chars_list], dtype=dtype
-        )
-    return out
+from repro.gpu.model import GpuPerformanceModel
 
 
 class ScoreArena:
     """Reusable per-dtype scratch buffers for the fused scoring pass.
 
-    The fused pass needs ~30 intermediate arrays per chunk; allocating
-    them anew for every kernel/chunk is a measurable share of the hot
-    path.  The arena hands out named slices of buffers that grow to the
-    largest chunk ever seen and are reused verbatim afterwards — zero
-    allocations in steady state.
+    The fused pass needs ~30 intermediate arrays per grid; allocating
+    them anew for every kernel is a measurable share of the hot path.
+    The arena hands out named slices of buffers that grow to the largest
+    grid ever seen and are reused verbatim afterwards — zero allocations
+    in steady state.
 
     Views returned by :meth:`take` (and therefore the ``seconds`` array
     :func:`fused_seconds` returns) are INVALIDATED by the next pass that
     uses the same arena: consume or copy them first.  Not thread-safe;
-    use one arena per worker.
+    use one arena per thread.
     """
 
     def __init__(self) -> None:
@@ -416,11 +56,13 @@ def fused_seconds(
 ) -> tuple[np.ndarray, int]:
     """Occupancy + MWP/CWP + repetitions fused into one arena pass.
 
-    Scores every row of ``columns`` (the :func:`columns_from_chars`
-    structure-of-arrays) and returns ``(seconds, legal_count)`` where
-    illegal rows carry ``+inf``.  Every elementwise operation below
-    replays the exact expression :class:`_Batch` / :meth:`_Batch.exec_at`
-    evaluates, in the same order, with ``out=`` aimed at arena buffers —
+    Scores every row of ``columns`` (one array per
+    :class:`~repro.gpu.characteristics.KernelCharacteristics` field) and
+    returns ``(seconds, legal_count)`` where illegal rows carry ``+inf``.
+    Every elementwise operation below replays the expression
+    :meth:`GpuPerformanceModel.breakdown` and
+    :func:`~repro.gpu.occupancy.occupancy` evaluate, in the same order,
+    with ``out=`` aimed at arena buffers —
     IEEE-754 binary64 arithmetic is deterministic per operation, so legal
     rows are bitwise-equal to the reference model while the pass touches
     no fresh allocations and materializes no dataclasses.
@@ -444,7 +86,7 @@ def fused_seconds(
 
     ftmp = arena.take("ftmp", n, np.float64)
 
-    # --- Occupancy (mirrors _Batch.__init__) ---------------------------
+    # --- Occupancy (mirrors repro.gpu.occupancy.occupancy) -------------
     # nb = ceil(threads / block) as int64.
     np.divide(threads, block, out=ftmp)
     np.ceil(ftmp, out=ftmp)
@@ -458,7 +100,7 @@ def fused_seconds(
     rpb = arena.take("rpb", n, np.int64)
     np.multiply(regs, block, out=rpb)
     # Running elementwise min over the five limits (min of ints is exact
-    # in any order; the stacked argmin order only matters for messages).
+    # in any order).
     raw = arena.take("raw", n, np.int64)
     np.floor_divide(arch.max_threads_per_sm, block, out=raw)
     np.minimum(raw, arch.max_blocks_per_sm, out=raw)
@@ -502,7 +144,7 @@ def fused_seconds(
     nf = arena.take("nf", n, np.float64)
     np.copyto(nf, nw, casting="unsafe")
 
-    # --- Timing terms (mirrors _Batch.__init__) ------------------------
+    # --- Timing terms (mirrors GpuPerformanceModel.breakdown) ----------
     fu = arena.take("fu", n, np.float64)
     np.subtract(1.0, f_coal, out=fu)
     uncoal_trans = arch.uncoal_transactions_per_warp
@@ -537,7 +179,7 @@ def fused_seconds(
     np.multiply(syncs, arch.sync_cycles, out=st)
     np.multiply(st, nf, out=st)
 
-    # --- Regime selection + exec cycles (mirrors _Batch.exec_at) -------
+    # --- Regime selection + exec cycles (mirrors breakdown) ------------
     payload = arena.take("payload", n, np.int64)
     np.multiply(bpa, arch.warp_size, out=payload)
     waste = arena.take("waste", n, np.float64)
@@ -634,169 +276,10 @@ def fused_argmin(
 
     ``argmin`` is the first minimum in row order (NumPy's argmin picks
     the first occurrence, matching the explorer's ``min()`` tie-break),
-    or ``-1`` with ``seconds = inf`` when no row is legal.  The
-    shared-memory streaming workers return exactly this triple — three
-    scalars instead of a pickled candidate table.
+    or ``-1`` with ``seconds = inf`` when no row is legal.
     """
     seconds, legal_count = fused_seconds(model, columns, arena)
     if legal_count == 0:
         return -1, float("inf"), 0
     best = int(np.argmin(seconds))
     return best, float(seconds[best]), legal_count
-
-
-def lower_bound_seconds(
-    model: GpuPerformanceModel, chars_list: list[KernelCharacteristics]
-) -> np.ndarray:
-    """Per-row lower bounds on projected seconds (NaN for illegal rows)."""
-    if not chars_list:
-        return np.empty(0, dtype=np.float64)
-    batch = _Batch(model, list(chars_list))
-    bounds = batch.bound_seconds()
-    return np.where(batch.legal, bounds, np.nan)
-
-
-def bound_min_grid(
-    model: GpuPerformanceModel,
-    columns: dict[str, np.ndarray],
-    segments: Sequence[tuple[int, int]],
-) -> list[float]:
-    """Min lower bound over the legal rows of each ``[lo, hi)`` segment.
-
-    Segments with no legal row get ``inf``.  This powers the sweep
-    engine's tile pruning: with one segment per sweep point, the result
-    is a provable floor under each point's projected kernel time (the
-    true time is the min over legal rows of actual seconds, and every
-    row's bound is below its actual seconds — see :meth:`_Batch.bound_seconds`).
-    """
-    rows = int(columns["block_size"].shape[0])
-    if rows == 0:
-        return [float("inf") for _ in segments]
-    # The scorer only touches ``chars_list`` for error messages and
-    # materialization, neither of which the bound pass reaches.
-    batch = _Batch(model, [None] * rows, columns=columns)  # type: ignore[list-item]
-    bounds = batch.bound_seconds()
-    legal = batch.legal
-    out = []
-    for lo, hi in segments:
-        segment = bounds[lo:hi][legal[lo:hi]]
-        out.append(float(segment.min()) if segment.size else float("inf"))
-    return out
-
-
-def score_batch(
-    model: GpuPerformanceModel,
-    chars_list: list[KernelCharacteristics],
-    prune: bool = False,
-) -> list[tuple[str, object]]:
-    """Score a whole batch; returns one ``(kind, payload)`` per input row.
-
-    - ``("candidate", GpuTimingBreakdown)`` — fully scored, bitwise-equal
-      to ``model.breakdown(chars)``;
-    - ``("illegal", str)`` — the exact occupancy ``ValueError`` message;
-    - ``("pruned", str)`` — only with ``prune=True``: the row's lower
-      bound already exceeds a fully-scored incumbent, so it cannot be the
-      argmin (the incumbent survives at a better-or-equal time).
-
-    Pruning preserves the argmin *and* its first-minimum tie-break: any
-    row whose true time ties the best has ``bound <= time <= incumbent``
-    and therefore survives.
-    """
-    if not chars_list:
-        return []
-    return score_grid(model, [chars_list], prune=prune)[0]
-
-
-def score_grid(
-    model: GpuPerformanceModel,
-    chars_lists: list[list[KernelCharacteristics]],
-    prune: bool = False,
-    columns: dict[str, np.ndarray] | None = None,
-) -> list[list[tuple[str, object]]]:
-    """Score several batches — one per sweep point — as a single SoA pass.
-
-    ``chars_lists`` holds one characteristics list per *segment* (e.g.
-    one transformation grid per sweep point of a parametric size sweep);
-    the result is one :func:`score_batch`-shaped list per segment.  Every
-    occupancy/timing operation in :class:`_Batch` is elementwise, so a
-    row's numbers are independent of which other rows share the batch and
-    each segment's output is bitwise-equal to scoring it alone.  With
-    ``prune=True`` every segment seeds and prunes against its *own*
-    incumbent — candidates never prune across sweep points.
-
-    ``columns`` optionally supplies the flattened structure-of-arrays
-    view of the rows (one array per characteristics field, in flat row
-    order) so the batch skips its per-row attribute sweep; the values
-    must equal the rows' own — the sweep engine derives them from the
-    rows' point-invariance, tiling the shared fields once.
-    """
-    flat: list[KernelCharacteristics] = []
-    starts = [0]
-    for segment in chars_lists:
-        flat.extend(segment)
-        starts.append(len(flat))
-    if not flat:
-        return [[] for _ in chars_lists]
-    with trace_span(
-        "score", rows=len(flat), segments=len(chars_lists), prune=prune
-    ):
-        return _score_flat(model, chars_lists, flat, starts, prune, columns)
-
-
-def _score_flat(
-    model: GpuPerformanceModel,
-    chars_lists: list[list[KernelCharacteristics]],
-    flat: list[KernelCharacteristics],
-    starts: list[int],
-    prune: bool,
-    columns: dict[str, np.ndarray] | None,
-) -> list[list[tuple[str, object]]]:
-    """The SoA scoring pass behind :func:`score_grid` (traced there)."""
-    batch = _Batch(model, flat, columns)
-    bounds = batch.bound_seconds() if prune else None
-    incumbents: dict[int, float] = {}
-    survive_parts: list[np.ndarray] = []
-    pending_seeds: list[tuple[int, np.ndarray, int]] = []
-    for s in range(len(chars_lists)):
-        lo, hi = starts[s], starts[s + 1]
-        seg_legal = lo + np.flatnonzero(batch.legal[lo:hi])
-        if prune and len(seg_legal) > 1:
-            seed_pos = int(np.argmin(bounds[seg_legal]))
-            pending_seeds.append((s, seg_legal, int(seg_legal[seed_pos])))
-            survive_parts.append(seg_legal)  # placeholder, replaced below
-        else:
-            survive_parts.append(seg_legal)
-    if pending_seeds:
-        seed_idx = np.asarray([row for _, _, row in pending_seeds])
-        seed_seconds = batch.exec_at(seed_idx)["seconds"].tolist()
-        for (s, seg_legal, _), incumbent in zip(pending_seeds, seed_seconds):
-            incumbents[s] = incumbent
-            survive_parts[s] = seg_legal[bounds[seg_legal] <= incumbent]
-
-    survive_idx = (
-        np.concatenate(survive_parts)
-        if survive_parts
-        else np.empty(0, dtype=np.int64)
-    )
-    row = batch.exec_at(survive_idx)
-    breakdowns = batch.materialize(survive_idx, row)
-    by_row = dict(zip(survive_idx.tolist(), breakdowns))
-    legal = batch.legal.tolist()
-    out: list[list[tuple[str, object]]] = []
-    for s in range(len(chars_lists)):
-        results: list[tuple[str, object]] = []
-        for i in range(starts[s], starts[s + 1]):
-            if not legal[i]:
-                results.append(("illegal", batch.error_message(i)))
-            elif i in by_row:
-                results.append(("candidate", by_row[i]))
-            else:
-                results.append(
-                    (
-                        "pruned",
-                        f"lower bound {float(bounds[i]) * 1e6:.2f}us exceeds "
-                        f"incumbent {incumbents[s] * 1e6:.2f}us",
-                    )
-                )
-        out.append(results)
-    return out

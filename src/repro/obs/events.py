@@ -14,15 +14,17 @@ decisions, shadow-audit verdicts) — lands here as one typed
   (``events.jsonl`` → ``events.jsonl.1`` → … up to ``rotations``
   files), for post-mortems that outlive the ring.
 
-Emission is cheap (one dict, one JSON line, no fsync — this is
-observability, not the journal of record) and thread-safe; the
-scheduler's per-job overhead is a handful of microseconds, far inside
-the daemon's ≤10% overhead gate.
+Emission is cheap (one dict, one JSON line appended through a
+descriptor held open between events, no fsync — this is observability,
+not the journal of record) and thread-safe; the scheduler's per-job
+overhead is a handful of microseconds, far inside the daemon's ≤10%
+overhead gate.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from collections import deque
@@ -47,6 +49,10 @@ EVENT_TYPES = (
     "surrogate_fallback",
     "audit",
 )
+
+#: One shared encoder: ``json.dumps`` with options builds a new encoder
+#: on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -114,6 +120,10 @@ class EventLog:
         self._ring: deque[Event] = deque(maxlen=capacity)
         self._seq = 0
         self._bytes = 0
+        #: Append-only descriptor of ``path``, opened on the first write
+        #: (re-opening the file per event cost more than the rest of
+        #: ``emit`` together).
+        self._fd: int | None = None
         if self._path is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             if self._path.exists():
@@ -163,16 +173,36 @@ class EventLog:
         return event
 
     def _write(self, event: Event) -> None:
-        """Append one JSONL line; rotate first when the file is full."""
+        """Append one JSONL line; rotate first when the file is full.
+
+        One unbuffered ``O_APPEND`` write per event, so a reader sees
+        every line as soon as ``emit`` returns.
+        """
         if self._bytes >= self._max_bytes:
             self._rotate()
-        line = json.dumps(event.to_dict(), sort_keys=True) + "\n"
-        with open(self._path, "a", encoding="utf-8") as fh:
-            fh.write(line)
-        self._bytes += len(line.encode("utf-8"))
+        data = (_ENCODER.encode(event.to_dict()) + "\n").encode("utf-8")
+        if self._fd is None:
+            self._fd = os.open(
+                self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
+            )
+        view = memoryview(data)
+        while view:  # a regular-file write can still come back short
+            view = view[os.write(self._fd, view):]
+        self._bytes += len(data)
+
+    def close(self) -> None:
+        """Release the file descriptor (a later emit reopens it)."""
+        with self._lock:
+            self._close_fd()
+
+    def _close_fd(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
     def _rotate(self) -> None:
         """Shift ``events.jsonl`` → ``.1`` → … , dropping the oldest."""
+        self._close_fd()
         oldest = self._path.with_name(
             f"{self._path.name}.{self._rotations}"
         )

@@ -7,7 +7,7 @@ see where the predicted time comes from.  A
 
 - per kernel: the winning mapping, its MWP/CWP regime and values, the
   runner-up mapping and its gap, and how the search width splits into
-  explored / illegal-skipped / bound-pruned configurations;
+  explored / illegal-skipped configurations;
 - per transfer: the array, direction, bytes, and the ``α + β·d`` split
   of its predicted time (fixed latency vs. bandwidth term);
 - overall: the kernel-vs-transfer share of the one-iteration total.
@@ -55,21 +55,15 @@ class KernelProvenance:
     runner_up_gap_seconds: float | None
     configs_explored: int
     configs_skipped: int
-    configs_pruned: int
 
     def __post_init__(self) -> None:
         check_non_negative("seconds", self.seconds)
         check_non_negative("configs_explored", self.configs_explored)
         check_non_negative("configs_skipped", self.configs_skipped)
-        check_non_negative("configs_pruned", self.configs_pruned)
 
     @property
     def search_width(self) -> int:
-        return (
-            self.configs_explored
-            + self.configs_skipped
-            + self.configs_pruned
-        )
+        return self.configs_explored + self.configs_skipped
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -83,7 +77,6 @@ class KernelProvenance:
             "runner_up_gap_seconds": self.runner_up_gap_seconds,
             "configs_explored": self.configs_explored,
             "configs_skipped": self.configs_skipped,
-            "configs_pruned": self.configs_pruned,
         }
 
     @staticmethod
@@ -103,7 +96,6 @@ class KernelProvenance:
             runner_up_gap_seconds=None if gap is None else float(gap),
             configs_explored=int(data["configs_explored"]),
             configs_skipped=int(data["configs_skipped"]),
-            configs_pruned=int(data["configs_pruned"]),
         )
 
 
@@ -162,7 +154,7 @@ class ServingProvenance:
     (:class:`~repro.surrogate.engine.SurrogateEngine`) to every response
     it serves: ``path`` is ``"surrogate"`` when the learned model
     answered and ``"exact"`` when the query ran through the exact
-    streaming pipeline; ``reason`` says why that path was chosen
+    fused pipeline; ``reason`` says why that path was chosen
     (``accepted``, ``low_confidence``, ``out_of_domain``, ``requested``,
     ``arch_mismatch``, ``space_mismatch``, ``provenance``); and
     ``confidence`` is the calibrated accuracy estimate when the model
@@ -251,10 +243,6 @@ class ProjectionProvenance:
     def configs_explored(self) -> int:
         return sum(k.configs_explored for k in self.kernels)
 
-    @property
-    def configs_pruned(self) -> int:
-        return sum(k.configs_pruned for k in self.kernels)
-
     # Round-trip -----------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -319,13 +307,11 @@ class ProjectionProvenance:
                     f"      runner-up {k.runner_up_mapping} "
                     f"+{gap * 1e6:.1f} us behind; "
                     f"{k.configs_explored} explored, "
-                    f"{k.configs_skipped} illegal, "
-                    f"{k.configs_pruned} pruned"
+                    f"{k.configs_skipped} illegal"
                 )
             else:
                 lines.append(
-                    f"      sole candidate; {k.configs_skipped} illegal, "
-                    f"{k.configs_pruned} pruned"
+                    f"      sole candidate; {k.configs_skipped} illegal"
                 )
         if self.transfers:
             lines.append(
@@ -355,20 +341,12 @@ class ProjectionProvenance:
 def _runner_up(kp) -> tuple[str | None, float | None]:
     """Second-best candidate's (mapping label, gap) — None when alone.
 
-    The best is the explorer's pick (first minimum); the runner-up is
-    the best of everything else, with the same first-minimum tie-break,
-    skipping candidates with the identical config (parallel merges can
-    rebuild equal objects).
+    The explorer keeps the ranking's head, fastest first with ties in
+    grid order, so the runner-up is simply ``candidates[1]``.
     """
-    best = kp.best
-    runner = None
-    for candidate in kp.candidates:
-        if candidate.config == best.config:
-            continue
-        if runner is None or candidate.seconds < runner.seconds:
-            runner = candidate
-    if runner is None:
+    if len(kp.candidates) < 2:
         return None, None
+    best, runner = kp.candidates[0], kp.candidates[1]
     gap = runner.seconds - best.seconds
     # Guard degenerate float cases; the gap is >= 0 by best-ness.
     return runner.config.label(), (gap if math.isfinite(gap) else None)
@@ -398,9 +376,8 @@ def build_provenance(
                 seconds=kp.seconds,
                 runner_up_mapping=runner_mapping,
                 runner_up_gap_seconds=runner_gap,
-                configs_explored=len(kp.candidates),
-                configs_skipped=len(kp.skipped),
-                configs_pruned=len(kp.pruned),
+                configs_explored=kp.explored,
+                configs_skipped=kp.skipped,
             )
         )
     transfers = []

@@ -102,7 +102,7 @@ class _SpanHandle:
     """The object a ``with span(...)`` block receives.
 
     ``set(key=value)`` attaches attributes discovered mid-span (e.g. the
-    pruned-row count, or whether a request hit the cache); they land in
+    illegal-row count, or whether a request hit the cache); they land in
     the finished span's ``attrs``.
     """
 

@@ -15,8 +15,8 @@ this package amortizes that work across requests:
   plus a bus-independent per-kernel tier
   (:class:`KernelProjectionCache`) that lets what-if studies skip the
   transformation-space search;
-- :mod:`~repro.service.parallel` — deterministic fan-out of kernels and
-  transformation-space chunks over a worker pool;
+- :mod:`~repro.service.parallel` — deterministic request-level fan-out
+  over a shared thread pool;
 - :mod:`~repro.service.metrics` — counters and per-stage timers;
 - :mod:`~repro.service.jobs` — a JSONL batch runner with per-request
   error isolation (``python -m repro batch``).
@@ -41,12 +41,7 @@ from repro.service.jobs import (
     run_batch,
 )
 from repro.service.metrics import ServiceMetrics
-from repro.service.parallel import (
-    explore_kernel_parallel,
-    map_ordered,
-    project_kernels_parallel,
-    space_chunks,
-)
+from repro.service.parallel import map_ordered
 
 __all__ = [
     "KernelProjectionCache",
@@ -60,8 +55,5 @@ __all__ = [
     "parse_request",
     "run_batch",
     "ServiceMetrics",
-    "explore_kernel_parallel",
     "map_ordered",
-    "project_kernels_parallel",
-    "space_chunks",
 ]

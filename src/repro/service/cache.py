@@ -197,8 +197,8 @@ class KernelProjectionCache:
     """Thread-safe in-memory LRU of live kernel projections.
 
     The kernel side of a projection is bus-independent, so the engine
-    keys entries by kernel content + architecture + space + pruning
-    (see :meth:`repro.service.engine.ProjectionEngine._kernel_key`) and
+    keys entries by kernel content + architecture + space (see
+    :meth:`repro.service.engine.ProjectionEngine._kernel_digest_key`) and
     entries stay valid across bus what-ifs — and across *programs* that
     share a kernel.  Values are the immutable
     :class:`~repro.transform.explorer.KernelProjection` dataclasses

@@ -1,4 +1,4 @@
-"""The projection engine: batched, cached, parallel GROPHECY++.
+"""The projection engine: batched and cached GROPHECY++.
 
 :class:`ProjectionEngine` serves :class:`ProjectionRequest`s — single or
 batched — and returns structured :class:`ProjectionResponse`s.  Compared
@@ -10,9 +10,8 @@ adds:
   options, so repeated projections (parameter sweeps, what-if studies,
   the figure harness) cost a dictionary lookup instead of a
   transformation-space search;
-- **parallelism**: independent kernels — or, for single-kernel
-  programs, chunks of the transformation space — fan out across a
-  worker pool with deterministic result ordering;
+- **batch fan-out**: :meth:`ProjectionEngine.project_batch` serves a
+  batch's requests across a worker pool with deterministic ordering;
 - **metrics**: every request feeds counters (requests, cache hits and
   misses, candidates explored) and per-stage timers (explore, analyze,
   predict).
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.core.prediction import Projection
 from repro.core.serialize import ProjectionSummary, summarize_projection
@@ -41,19 +40,15 @@ from repro.pcie.model import BusModel
 from repro.pcie.presets import pcie_gen1_bus
 from repro.service.cache import KernelProjectionCache, ProjectionCache
 from repro.service.metrics import ServiceMetrics
-from repro.service.parallel import (
-    explore_kernel_parallel,
-    map_ordered,
-    project_kernels_parallel,
-    shutdown_pool,
-    shutdown_stream_pool,
+from repro.service.parallel import map_ordered, shutdown_pool
+from repro.skeleton.program import ProgramSkeleton
+from repro.transform.explorer import (
+    EXPLORERS,
+    ProgramProjection,
+    explore_kernel,
+    project_program,
 )
-from repro.skeleton.arrays import ArrayDecl
-from repro.skeleton.kernel import KernelSkeleton
-from repro.skeleton.program import ProgramSkeleton, kernel_fingerprint
-from repro.transform.explorer import KernelProjection, ProgramProjection
 from repro.transform.space import TransformationSpace
-from repro.transform.stream import StreamingExplorer
 from repro.util.fingerprint import stable_digest
 from repro.util.validation import check_positive
 
@@ -133,7 +128,7 @@ class ProjectionResponse:
 
 
 class ProjectionEngine:
-    """Serves projection requests with caching, fan-out, and metrics."""
+    """Serves projection requests with caching, batch fan-out, metrics."""
 
     def __init__(
         self,
@@ -144,7 +139,6 @@ class ProjectionEngine:
         metrics: ServiceMetrics | None = None,
         max_workers: int = 1,
         explorer: str = "fast",
-        prune: bool = False,
         kernel_cache: KernelProjectionCache | None = None,
         kernel_cache_capacity: int = 512,
         provenance: bool = False,
@@ -153,21 +147,18 @@ class ProjectionEngine:
         nominal PCIe gen-1 preset (the paper's bus class) — pass a
         calibrated :class:`BusModel` for real projections.
 
-        ``explorer``/``prune`` select the exploration path (see
-        ``docs/EXPLORER.md``): ``fast`` (vectorized, full candidate
-        table), ``reference`` (the scalar oracle), or ``stream`` (the
-        fused argmin-only scorer).  fast/reference never enter the
-        *request* cache key: both produce the identical
-        :class:`ProjectionSummary` (same best mapping, same seconds,
-        same ``search_width`` — pruned configs still count toward the
-        width), so cached entries stay valid across those switches.
-        ``stream`` summaries carry argmin-only tables and are keyed
-        separately (see :meth:`fingerprint`).
+        ``explorer`` selects the exploration path (see
+        ``docs/EXPLORER.md``): ``fast`` (the fused scorer) or
+        ``reference`` (the scalar oracle).  It never enters a cache key:
+        both produce equal projections, so cached entries stay valid
+        across the switch.  ``max_workers`` is the
+        :meth:`project_batch` fan-out; one request always explores
+        serially on the calling thread.
 
         A second, finer cache sits under the request cache: exploration
         results are kept per *kernel*, keyed by kernel content + arch +
-        space (``prune`` included — it shapes the candidate tables; the
-        bus deliberately excluded — kernel time is bus-independent).  A
+        space (the bus deliberately excluded — kernel time is
+        bus-independent).  A
         what-if study that re-projects the same program over PCIe
         generations misses the request cache (the bus is in its key) but
         skips every transformation-space search.  Pass ``kernel_cache``
@@ -187,10 +178,10 @@ class ProjectionEngine:
                 f"kernel_cache_capacity must be >= 0, got "
                 f"{kernel_cache_capacity}"
             )
-        if explorer not in ("fast", "reference", "stream"):
+        if explorer not in EXPLORERS:
             raise ValueError(
-                f"unknown explorer {explorer!r}: expected 'fast', "
-                f"'reference', or 'stream'"
+                f"unknown explorer {explorer!r}: expected 'fast' or "
+                f"'reference'"
             )
         self._arch = arch or quadro_fx_5600()
         self._bus = bus or pcie_gen1_bus()
@@ -204,14 +195,9 @@ class ProjectionEngine:
             self._kernel_cache = None
         self._max_workers = max_workers
         self._explorer = explorer
-        self._prune = prune
         self._provenance = provenance
         self.metrics = metrics or ServiceMetrics()
         self._models: dict[str, GpuPerformanceModel] = {}
-        #: arch name -> warm streaming explorer (``explorer="stream"``);
-        #: keeps analyses, column grids, and the scratch arena hot across
-        #: requests for the same architecture.
-        self._stream_explorers: dict[str, StreamingExplorer] = {}
 
     # Defaults ------------------------------------------------------------
     @property
@@ -257,16 +243,6 @@ class ProjectionEngine:
         bus = request.bus or self._bus
         space = request.space or self._space
         hints = request.hints or AnalysisHints.none()
-        options: dict[str, Any] = {
-            "batched_transfers": request.batched_transfers
-        }
-        if self._explorer == "stream":
-            # fast/reference summaries are interchangeable (identical
-            # best mapping, seconds, and search_width), so the explorer
-            # stays out of their keys.  Stream summaries carry argmin-only
-            # tables (search_width 1) — key them separately so neither
-            # side serves the other's entries.
-            options["explorer"] = "stream"
         return stable_digest(
             {
                 "format": KEY_FORMAT,
@@ -275,20 +251,8 @@ class ProjectionEngine:
                 "arch": arch.fingerprint(),
                 "bus": bus.fingerprint(),
                 "space": space.fingerprint(),
-                "options": options,
+                "options": {"batched_transfers": request.batched_transfers},
             }
-        )
-
-    def _kernel_key(
-        self,
-        kernel: KernelSkeleton,
-        array_map: Mapping[str, ArrayDecl],
-        arch: GPUArchitecture,
-        space: TransformationSpace,
-    ) -> str:
-        """Kernel-level cache key of one kernel of a program."""
-        return self._kernel_digest_key(
-            kernel_fingerprint(kernel, array_map), arch, space
         )
 
     def _kernel_digest_key(
@@ -300,10 +264,7 @@ class ProjectionEngine:
         """Kernel-level cache key: everything one exploration reads.
 
         Bus and explorer stay out — kernel time is bus-independent, and
-        fast/reference produce bitwise-identical projections.  ``prune``
-        is *in*: pruning moves configs between the candidate and pruned
-        tables, so projections from different prune modes are distinct
-        objects even though the best mapping agrees.  ``kernel_digest``
+        fast/reference produce equal projections.  ``kernel_digest``
         is the kernel's :func:`~repro.skeleton.program.kernel_fingerprint`
         — for a whole program, read from the memoized
         :meth:`ProgramSkeleton.kernel_fingerprints`.
@@ -314,19 +275,12 @@ class ProjectionEngine:
                 "kernel": kernel_digest,
                 "arch": arch.fingerprint(),
                 "space": space.fingerprint(),
-                "options": {"prune": self._prune},
             }
         )
 
     # Serving -------------------------------------------------------------
-    def project(
-        self, request: ProjectionRequest, workers: int | None = None
-    ) -> ProjectionResponse:
-        """Serve one request, from cache when possible.
-
-        ``workers`` overrides the engine's intra-request fan-out (the
-        batch runner passes 1: it parallelizes across requests instead).
-        """
+    def project(self, request: ProjectionRequest) -> ProjectionResponse:
+        """Serve one request, from cache when possible."""
         start = time.perf_counter()
         self.metrics.incr("requests")
         with trace_span(
@@ -356,9 +310,7 @@ class ProjectionEngine:
                 self.metrics.incr("cache_misses")
 
             root.set(cached=False)
-            projection = self._compute(
-                request, self._max_workers if workers is None else workers
-            )
+            projection = self._compute(request)
             provenance = (
                 build_provenance(projection, request.bus or self._bus)
                 if self._provenance
@@ -384,16 +336,15 @@ class ProjectionEngine:
     ) -> list[ProjectionResponse]:
         """Serve many requests, fanning out across the worker pool.
 
-        Responses come back in request order.  Within a batch the
-        parallelism budget moves to the request level, so each request
-        explores serially.  Duplicate requests in one batch are
+        Responses come back in request order; each request explores
+        serially on its worker thread.  Duplicate requests in one batch are
         deduplicated through the cache when one is attached (concurrent
         duplicates may both compute; both store the same entry, which is
         idempotent by construction).
         """
         batch: Sequence[ProjectionRequest] = list(requests)
         return map_ordered(
-            lambda request: self.project(request, workers=1),
+            self.project,
             batch,
             self._max_workers,
         )
@@ -411,33 +362,19 @@ class ProjectionEngine:
         program: ProgramSkeleton,
         model: GpuPerformanceModel,
         space: TransformationSpace,
-        workers: int,
     ) -> ProgramProjection:
         """Explore every kernel, reusing kernel-level cache entries.
 
         ``candidates_explored`` counts only searches actually run; a
         kernel served from the cache adds to ``kernel_cache_hits``
         instead.  The assembled :class:`ProgramProjection` is identical
-        either way — cached entries are the very objects a fresh search
-        would rebuild (dataclass-equal by the explorer's determinism).
-
-        The streaming explorer bypasses the kernel cache entirely: its
-        projections are argmin-only (no candidate table), so they are
-        not interchangeable with fast/reference entries, and the warm
-        :class:`StreamingExplorer` already caches the expensive halves
-        (analysis + column grids) itself.
+        either way — cached entries equal what a fresh search would
+        rebuild (the explorers are deterministic).
         """
-        if self._explorer == "stream":
-            return self._explore_stream(program, model, space)
         cache = self._kernel_cache
         if cache is None:
-            projection = project_kernels_parallel(
-                program,
-                model,
-                space,
-                max_workers=workers,
-                explorer=self._explorer,
-                prune=self._prune,
+            projection = project_program(
+                program, model, space, explorer=self._explorer
             )
             self.metrics.incr(
                 "candidates_explored",
@@ -445,109 +382,36 @@ class ProjectionEngine:
             )
             return projection
 
-        keys = [
-            self._kernel_digest_key(digest, model.arch, space)
-            for digest in program.kernel_fingerprints()
-        ]
-        found: dict[int, KernelProjection] = {}
-        for index, key in enumerate(keys):
-            entry = cache.get(key)
-            if entry is not None:
-                found[index] = entry
-        missing = [i for i in range(len(keys)) if i not in found]
-        self.metrics.incr("kernel_cache_hits", len(found))
-        self.metrics.incr("kernel_cache_misses", len(missing))
-
-        if not missing:
-            return ProgramProjection(
-                program=program.name,
-                kernels=tuple(found[i] for i in range(len(keys))),
-            )
-        if not found:
-            # All kernels miss: the existing whole-program fan-out picks
-            # the best split (per-kernel tasks, or chunked space for a
-            # single-kernel program).
-            projection = project_kernels_parallel(
-                program,
-                model,
-                space,
-                max_workers=workers,
-                explorer=self._explorer,
-                prune=self._prune,
-            )
-            self.metrics.incr(
-                "candidates_explored",
-                sum(kp.search_width for kp in projection.kernels),
-            )
-            for key, kernel_projection in zip(keys, projection.kernels):
-                cache.put(key, kernel_projection)
-            return projection
-
-        # Partial hit: explore only the missing kernels.  A single miss
-        # gets the whole worker budget as chunk parallelism; several
-        # misses fan out one task per kernel.
-        inner = workers if len(missing) == 1 else 1
-        computed = map_ordered(
-            lambda i: explore_kernel_parallel(
-                program.kernels[i],
-                program,
-                model,
-                space,
-                max_workers=inner,
-                explorer=self._explorer,
-                prune=self._prune,
-            ),
-            missing,
-            1 if len(missing) == 1 else workers,
-        )
-        for index, kernel_projection in zip(missing, computed):
-            cache.put(keys[index], kernel_projection)
-            self.metrics.incr(
-                "candidates_explored", kernel_projection.search_width
-            )
-            found[index] = kernel_projection
-        return ProgramProjection(
-            program=program.name,
-            kernels=tuple(found[i] for i in range(len(keys))),
-        )
-
-    def _explore_stream(
-        self,
-        program: ProgramSkeleton,
-        model: GpuPerformanceModel,
-        space: TransformationSpace,
-    ) -> ProgramProjection:
-        """One fused streaming pass per kernel, arena and caches warm."""
-        explorer = self._stream_explorers.get(model.arch.name)
-        if explorer is None or explorer.model is not model:
-            explorer = StreamingExplorer(model)
-            self._stream_explorers[model.arch.name] = explorer
-        result = explorer.project_program(program, space)
-        self.metrics.incr(
-            "candidates_explored",
-            sum(kernel.search_width for kernel in result.kernels),
-        )
-        return ProgramProjection(
-            program=program.name,
-            kernels=tuple(
-                kernel.projection() for kernel in result.kernels
-            ),
-        )
+        kernels = []
+        hits = 0
+        for kernel, digest in zip(
+            program.kernels, program.kernel_fingerprints()
+        ):
+            key = self._kernel_digest_key(digest, model.arch, space)
+            found = cache.get(key)
+            if found is None:
+                found = explore_kernel(
+                    kernel, program, model, space, explorer=self._explorer
+                )
+                cache.put(key, found)
+                self.metrics.incr("candidates_explored", found.search_width)
+            else:
+                hits += 1
+            kernels.append(found)
+        self.metrics.incr("kernel_cache_hits", hits)
+        self.metrics.incr("kernel_cache_misses", len(kernels) - hits)
+        return ProgramProjection(program=program.name, kernels=tuple(kernels))
 
     def close(self) -> None:
-        """Release the process-wide worker pools.
+        """Release the process-wide thread pool.
 
-        Shuts down the shared thread pool and the shared-memory
-        streaming pool (both module-level singletons, recreated lazily
-        on next use).  The daemon calls this on drain; one-shot scripts
-        can call it for a clean exit.  Idempotent.
+        The pool is a module-level singleton, recreated lazily on next
+        use.  The daemon calls this on drain; one-shot scripts can call
+        it for a clean exit.  Idempotent.
         """
         shutdown_pool()
-        shutdown_stream_pool()
 
-    def _compute(
-        self, request: ProjectionRequest, workers: int
-    ) -> Projection:
+    def _compute(self, request: ProjectionRequest) -> Projection:
         """The GROPHECY++ pipeline, staged and instrumented."""
         program = request.program
         arch = request.arch or self._arch
@@ -556,7 +420,7 @@ class ProjectionEngine:
         model = self._model_for(arch)
 
         with self.metrics.timer("explore"):
-            kernels = self._explore(program, model, space, workers)
+            kernels = self._explore(program, model, space)
         with self.metrics.timer("analyze"):
             with trace_span(
                 "transfer-planning", program=program.name

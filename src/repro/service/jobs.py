@@ -468,7 +468,7 @@ def project_parsed(
     def _serial(request: ProjectionRequest) -> Future:
         future: Future = Future()
         try:
-            future.set_result(engine.project(request, 1))
+            future.set_result(engine.project(request))
         except BaseException as exc:  # noqa: BLE001 - isolated per record
             future.set_exception(exc)
         return future
@@ -487,7 +487,7 @@ def project_parsed(
                 pending.append((slot, _serial(item.request)))
             else:
                 try:
-                    future = pool.submit(engine.project, item.request, 1)
+                    future = pool.submit(engine.project, item.request)
                 except RuntimeError:  # raced an explicit shutdown_pool()
                     pool = None
                     future = _serial(item.request)

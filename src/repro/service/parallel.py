@@ -1,62 +1,21 @@
-"""Deterministic fan-out of projection work across persistent pools.
+"""Deterministic request-level fan-out over one persistent thread pool.
 
-Two axes of parallelism, both embarrassingly parallel and both merged in
-a fixed order so parallel and serial execution produce *identical*
-results:
-
-- **kernels**: each kernel of a multi-kernel program explores its
-  transformation space independently;
-- **transformation-space chunks**: a single kernel's candidate grid is
-  split into contiguous chunks scored concurrently and merged back in
-  grid order, so the best-candidate tie-breaking (first minimum wins)
-  matches the serial explorer exactly.
-
-Two persistent pools live here, both created lazily and reused across
-calls instead of being rebuilt per request:
-
-- a module-level ``ThreadPoolExecutor`` behind :func:`map_ordered` and
-  :func:`submit_shared` — the daemon scheduler, the batch runner, and
-  the parallel explorer all share it (the exploration is pure
-  computation over immutable dataclasses, so threads are safe);
-- a fork-based **streaming worker pool** (:class:`StreamWorkerPool`)
-  whose workers attach ``multiprocessing.shared_memory`` column blocks
-  once and score chunks zero-copy, returning only ``(argmin, seconds,
-  legal)`` triples — no candidate grids ever cross the pipe.
-
-``max_workers <= 1`` (or a pool that cannot be created) falls back to a
-plain serial loop; :func:`shutdown_pool` / :func:`shutdown_stream_pool`
-release everything explicitly (the daemon calls them on drain).
+A module-level ``ThreadPoolExecutor`` (:func:`shared_pool`) sits behind
+:func:`map_ordered` and :func:`submit_shared`;
+:meth:`~repro.service.engine.ProjectionEngine.project_batch` and the
+JSONL batch runner (which the daemon's batch jobs reuse) share it
+instead of building an executor per call.  Results always come
+back in input order, so parallel and serial execution produce
+*identical* results.  ``max_workers <= 1`` (or a pool that cannot be
+created) falls back to a plain serial loop; :func:`shutdown_pool`
+releases the pool explicitly (the daemon calls it on drain).
 """
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-import numpy as np
-
-from repro.gpu.model import GpuPerformanceModel
-from repro.gpu.vectorized import (
-    COLUMN_FIELDS,
-    ScoreArena,
-    fused_argmin,
-)
-from repro.obs.trace import span as trace_span
-from repro.skeleton.kernel import KernelSkeleton
-from repro.skeleton.program import ProgramSkeleton
-from repro.transform.analysis import analyze_kernel
-from repro.transform.explorer import (
-    CandidateResult,
-    KernelProjection,
-    ProgramProjection,
-    explore_configs,
-    no_legal_mapping,
-)
-from repro.transform.fastpath import explore_configs_fast
-from repro.transform.space import MappingConfig, TransformationSpace
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -72,10 +31,10 @@ _POOL_LOCK = threading.Lock()
 def shared_pool(max_workers: int) -> ThreadPoolExecutor | None:
     """The module-level reusable thread pool, grown to ``max_workers``.
 
-    Created on first use and reused by every subsequent caller — the
-    daemon scheduler, ``run_batch``, and the chunk-parallel explorer all
-    draw from the same warm pool instead of paying executor construction
-    (thread spawn + queue setup) per call.  When a caller asks for more
+    Created on first use and reused by every subsequent caller —
+    ``project_batch`` and the batch runner draw from the same warm pool
+    instead of paying executor construction (thread spawn + queue setup)
+    per call.  When a caller asks for more
     workers than the pool has, a larger pool replaces it; the old one
     finishes its queued work in the background (``shutdown(wait=False)``
     cancels nothing).  Returns ``None`` when the pool cannot be created
@@ -149,382 +108,3 @@ def map_ordered(
     except RuntimeError:  # raced an explicit shutdown_pool()
         return [fn(item) for item in work]
     return [future.result() for future in futures]
-
-
-# --------------------------------------------------------------------- #
-# Persistent shared-memory streaming pool
-# --------------------------------------------------------------------- #
-
-#: Worker-side caches (one per forked process): attached segments keyed
-#: by name, plus a scoring arena.  Workers attach a segment once and
-#: reuse the mapping for every chunk of every batch streamed through it.
-_WORKER_SEGMENTS: dict[str, tuple[object, dict[str, np.ndarray]]] = {}
-_WORKER_SEGMENT_CAP = 4
-_WORKER_ARENA: ScoreArena | None = None
-
-
-def _attach_segment(name: str, capacity: int) -> dict[str, np.ndarray]:
-    """Map a column block into this worker, caching the attachment."""
-    from multiprocessing import resource_tracker, shared_memory
-
-    cached = _WORKER_SEGMENTS.get(name)
-    if cached is not None:
-        return cached[1]
-    shm = shared_memory.SharedMemory(name=name)
-    # The parent owns the segment's lifetime; without this, the worker's
-    # resource tracker would unlink it again on worker exit (the 3.11/3.12
-    # attach-registers-too behavior) and spam leak warnings.
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals
-        pass
-    views = {}
-    for position, (field, dtype) in enumerate(COLUMN_FIELDS):
-        views[field] = np.ndarray(
-            (capacity,),
-            dtype=dtype,
-            buffer=shm.buf,
-            offset=position * 8 * capacity,
-        )
-    if len(_WORKER_SEGMENTS) >= _WORKER_SEGMENT_CAP:
-        oldest = next(iter(_WORKER_SEGMENTS))
-        old_shm, old_views = _WORKER_SEGMENTS.pop(oldest)
-        old_views.clear()
-        old_shm.close()  # type: ignore[attr-defined]
-    _WORKER_SEGMENTS[name] = (shm, views)
-    return views
-
-
-def _stream_worker_score(
-    name: str,
-    capacity: int,
-    lo: int,
-    hi: int,
-    model: GpuPerformanceModel,
-) -> tuple[int, float, int]:
-    """Score rows ``[lo, hi)`` of a shared column block, zero-copy.
-
-    Runs inside a pool worker; returns the chunk's first-minimum argmin
-    (relative to ``lo``), its seconds, and the legal-row count — three
-    scalars, regardless of chunk size.
-    """
-    global _WORKER_ARENA
-    views = _attach_segment(name, capacity)
-    if _WORKER_ARENA is None:
-        _WORKER_ARENA = ScoreArena()
-    columns = {field: view[lo:hi] for field, view in views.items()}
-    return fused_argmin(model, columns, _WORKER_ARENA)
-
-
-class StreamWorkerPool:
-    """A persistent fork pool scoring shared-memory candidate columns.
-
-    The parent writes a kernel's structure-of-arrays candidate grid into
-    one shared-memory block (fields laid out back to back, each strided
-    to the block's row capacity), dispatches ``(segment, lo, hi)`` chunk
-    descriptors, and merges the workers' ``(argmin, seconds, legal)``
-    triples with the explorer's first-minimum tie-break.  Workers attach
-    each segment once and keep their arena warm, so steady-state
-    streaming moves no candidate data at all — only descriptors out and
-    three scalars back.
-
-    Construction raises ``RuntimeError`` when no ``fork`` start method is
-    available (the pool relies on cheap fork + inherited imports);
-    callers treat that as "stream serially instead".
-    """
-
-    def __init__(self, workers: int = 2) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError("no fork start method; streaming pool unavailable")
-        context = multiprocessing.get_context("fork")
-        self._pool = context.Pool(processes=workers)
-        self.workers = workers
-        self._lock = threading.Lock()
-        self._shm = None
-        self._capacity = 0
-        self._views: dict[str, np.ndarray] = {}
-        # A shared-memory segment is a kernel object, not process memory:
-        # if the process exits with the pool still warm (daemon SIGTERM,
-        # ^C mid-batch) the block would outlive it in /dev/shm.  Unlink
-        # at interpreter exit; close() unregisters for the normal path.
-        atexit.register(self._atexit_release)
-
-    def _ensure_capacity(self, rows: int) -> None:
-        if self._shm is not None and rows <= self._capacity:
-            return
-        from multiprocessing import shared_memory
-
-        capacity = max(rows, self._capacity * 2, 1024)
-        segment = shared_memory.SharedMemory(
-            create=True, size=len(COLUMN_FIELDS) * 8 * capacity
-        )
-        if self._shm is not None:
-            # No chunk is in flight outside score_columns (it waits for
-            # every result), so the old block has no parent-side users;
-            # workers drop their stale attachments via their LRU cap.
-            self._views.clear()
-            self._shm.close()
-            self._shm.unlink()
-        self._shm = segment
-        self._capacity = capacity
-        self._views = {
-            field: np.ndarray(
-                (capacity,),
-                dtype=dtype,
-                buffer=segment.buf,
-                offset=position * 8 * capacity,
-            )
-            for position, (field, dtype) in enumerate(COLUMN_FIELDS)
-        }
-
-    def score_columns(
-        self,
-        model: GpuPerformanceModel,
-        columns: dict[str, np.ndarray],
-        chunk_rows: int = 16384,
-    ) -> tuple[int, float, int]:
-        """Stream one candidate grid through the pool.
-
-        Returns the global ``(argmin, seconds, legal_count)`` over all
-        rows — ``(-1, inf, 0)`` when nothing is legal.  Chunks are merged
-        in row order with strict ``<``, so ties keep the earliest row,
-        matching the serial explorer exactly.
-        """
-        rows = int(columns["block_size"].shape[0])
-        if rows == 0:
-            return -1, float("inf"), 0
-        chunk_rows = max(1, chunk_rows)
-        with self._lock:
-            self._ensure_capacity(rows)
-            for field, _dtype in COLUMN_FIELDS:
-                np.copyto(self._views[field][:rows], columns[field])
-            name = self._shm.name
-            pending = [
-                self._pool.apply_async(
-                    _stream_worker_score,
-                    (name, self._capacity, lo, min(lo + chunk_rows, rows), model),
-                )
-                for lo in range(0, rows, chunk_rows)
-            ]
-            best_index, best_seconds, legal_total = -1, float("inf"), 0
-            for task, lo in zip(pending, range(0, rows, chunk_rows)):
-                relative, seconds, legal = task.get()
-                legal_total += legal
-                if relative >= 0 and seconds < best_seconds:
-                    best_index, best_seconds = lo + relative, seconds
-            return best_index, best_seconds, legal_total
-
-    def close(self) -> None:
-        """Terminate the workers and release the shared segment."""
-        atexit.unregister(self._atexit_release)
-        with self._lock:
-            self._pool.terminate()
-            self._pool.join()
-            if self._shm is not None:
-                self._views.clear()
-                self._shm.close()
-                self._shm.unlink()
-                self._shm = None
-            self._capacity = 0
-
-    def _atexit_release(self) -> None:
-        """Last-chance cleanup when the process never called close()."""
-        try:
-            self.close()
-        except Exception:  # pragma: no cover - interpreter teardown
-            pass
-
-
-_STREAM_POOL: StreamWorkerPool | None = None
-_STREAM_POOL_LOCK = threading.Lock()
-
-
-def stream_pool(workers: int = 2) -> StreamWorkerPool | None:
-    """The persistent module-level streaming pool (``None`` if unavailable).
-
-    Created warm on first use and shared by every streaming explorer in
-    the process; :func:`shutdown_stream_pool` releases it.  An existing
-    pool is reused even when ``workers`` differs — worker count is a
-    startup hint, not a per-call contract.
-    """
-    global _STREAM_POOL
-    with _STREAM_POOL_LOCK:
-        if _STREAM_POOL is None:
-            try:
-                _STREAM_POOL = StreamWorkerPool(workers)
-            except (RuntimeError, OSError, ValueError):
-                return None
-        return _STREAM_POOL
-
-
-def shutdown_stream_pool() -> None:
-    """Release the streaming pool (recreated lazily on next use)."""
-    global _STREAM_POOL
-    with _STREAM_POOL_LOCK:
-        pool, _STREAM_POOL = _STREAM_POOL, None
-    if pool is not None:
-        pool.close()
-
-
-def space_chunks(
-    configs: Sequence[MappingConfig], chunk_count: int
-) -> list[tuple[MappingConfig, ...]]:
-    """Split a candidate list into <= ``chunk_count`` contiguous chunks.
-
-    Chunks preserve grid order, so concatenating the per-chunk results
-    reproduces the serial enumeration exactly.
-    """
-    if chunk_count < 1:
-        raise ValueError(f"chunk_count must be >= 1, got {chunk_count}")
-    configs = tuple(configs)
-    if not configs:
-        return []
-    chunk_count = min(chunk_count, len(configs))
-    size, extra = divmod(len(configs), chunk_count)
-    chunks: list[tuple[MappingConfig, ...]] = []
-    start = 0
-    for index in range(chunk_count):
-        end = start + size + (1 if index < extra else 0)
-        chunks.append(configs[start:end])
-        start = end
-    return chunks
-
-
-def explore_kernel_parallel(
-    kernel: KernelSkeleton,
-    program: ProgramSkeleton,
-    model: GpuPerformanceModel,
-    space: TransformationSpace | None = None,
-    max_workers: int | None = None,
-    explorer: str = "fast",
-    prune: bool = False,
-) -> KernelProjection:
-    """:func:`~repro.transform.explorer.explore_kernel`, chunk-parallel.
-
-    Splits the space into one chunk per worker, scores chunks on the
-    pool, and merges candidates/skipped/pruned in grid order.  ``min``
-    keeps the first of tied minima, so the selected best mapping is
-    identical to the serial explorer's.
-
-    On the fast path the per-kernel :class:`KernelAnalysis` precompute
-    is built once and shared across chunks (its profile cache is safe
-    under CPython threads).  With ``prune=True`` each chunk prunes
-    against its own incumbent; a chunk incumbent is a real candidate
-    time, so any global-best tie still satisfies ``bound <= time <=
-    incumbent`` and survives — the selected best never changes.
-    """
-    if explorer not in ("fast", "reference"):
-        raise ValueError(
-            f"unknown explorer {explorer!r}: expected 'fast' or 'reference'"
-        )
-    space = space or TransformationSpace.default()
-    configs = space.configs()
-    chunks = space_chunks(configs, max_workers or 1)
-    pruned: list[tuple[MappingConfig, str]] = []
-    with trace_span(
-        "search",
-        kernel=kernel.name,
-        explorer=explorer,
-        chunks=len(chunks),
-    ) as search:
-        if explorer == "fast":
-            try:
-                analysis = analyze_kernel(
-                    kernel, program.array_map, model.arch.strict_coalescing
-                )
-            except ValueError:
-                raise no_legal_mapping(
-                    kernel.name, model.arch.name, len(configs)
-                ) from None
-            results = map_ordered(
-                lambda chunk: explore_configs_fast(
-                    kernel,
-                    program,
-                    model,
-                    chunk,
-                    analysis=analysis,
-                    prune=prune,
-                ),
-                chunks,
-                max_workers,
-            )
-            candidates: list[CandidateResult] = []
-            skipped: list[tuple[MappingConfig, str]] = []
-            for chunk_candidates, chunk_skipped, chunk_pruned in results:
-                candidates.extend(chunk_candidates)
-                skipped.extend(chunk_skipped)
-                pruned.extend(chunk_pruned)
-        else:
-            reference = map_ordered(
-                lambda chunk: explore_configs(kernel, program, model, chunk),
-                chunks,
-                max_workers,
-            )
-            candidates = []
-            skipped = []
-            for chunk_candidates, chunk_skipped in reference:
-                candidates.extend(chunk_candidates)
-                skipped.extend(chunk_skipped)
-        search.set(
-            explored=len(candidates),
-            illegal=len(skipped),
-            pruned=len(pruned),
-        )
-    if not candidates:
-        raise no_legal_mapping(kernel.name, model.arch.name, len(skipped))
-    best = min(candidates, key=lambda c: c.seconds)
-    return KernelProjection(
-        kernel=kernel.name,
-        best=best,
-        candidates=tuple(candidates),
-        skipped=tuple(skipped),
-        pruned=tuple(pruned),
-    )
-
-
-def project_kernels_parallel(
-    program: ProgramSkeleton,
-    model: GpuPerformanceModel,
-    space: TransformationSpace | None = None,
-    max_workers: int | None = None,
-    explorer: str = "fast",
-    prune: bool = False,
-) -> ProgramProjection:
-    """:func:`~repro.transform.explorer.project_program`, pool-backed.
-
-    Multi-kernel programs fan out one task per kernel; a single-kernel
-    program instead splits its transformation space across the pool.
-    Either way the returned projection is byte-for-byte the serial one.
-    """
-    kernels = program.kernels
-    if len(kernels) == 1:
-        projections = (
-            explore_kernel_parallel(
-                kernels[0],
-                program,
-                model,
-                space,
-                max_workers,
-                explorer=explorer,
-                prune=prune,
-            ),
-        )
-    else:
-        projections = tuple(
-            map_ordered(
-                lambda kernel: explore_kernel_parallel(
-                    kernel,
-                    program,
-                    model,
-                    space,
-                    max_workers=1,
-                    explorer=explorer,
-                    prune=prune,
-                ),
-                kernels,
-                max_workers,
-            )
-        )
-    return ProgramProjection(program=program.name, kernels=projections)

@@ -1,7 +1,7 @@
 """repro.surrogate: microsecond projections with an exact fallback.
 
 The exact pipeline answers "projected time + best mapping" by searching
-a transformation space — streamed, that costs hundreds of microseconds
+a transformation space — fused, that costs hundreds of microseconds
 per program.  This package learns that answer: a pure-NumPy ridge
 regressor predicts the winning mapping's time and a two-member ensemble
 (one-vs-rest ridge + nearest-exemplar memory) predicts *which* mapping
@@ -10,7 +10,7 @@ wins, both from static skeleton features (one
 architecture descriptors.  A conformal-style calibration over member-
 consensus rows turns the ridge margin into a per-query confidence;
 queries where the members disagree, below the confidence threshold, or
-outside the trained feature domain fall back to the exact streaming
+outside the trained feature domain fall back to the exact fused
 explorer, so a surrogate answer is fast and a low-confidence answer is
 never silently wrong.
 
@@ -18,7 +18,7 @@ Layout:
 
 - :mod:`~repro.surrogate.features` — the feature schema and extractor;
 - :mod:`~repro.surrogate.dataset` — bulk labeling through the fused
-  streaming scorer (grids at explorer speed);
+  scorer (grids at explorer speed);
 - :mod:`~repro.surrogate.model` — ridge regression, mapping classifier,
   margin calibration, and the packaged :class:`SurrogateModel`;
 - :mod:`~repro.surrogate.store` — versioned ``.npz`` persistence with a

@@ -1,10 +1,10 @@
-"""Bulk training data: label feature rows at streaming-scorer speed.
+"""Bulk training data: label feature rows at fused-scorer speed.
 
 The generator walks every registered workload, builds one
 :class:`~repro.transform.analysis.KernelAnalysis` per kernel (largest
 dataset as the anchor), and sweeps a geometric size grid around each
 kernel's native parallelism.  Each (kernel, size) cell is labeled by the
-same fused argmin pass the streaming explorer runs —
+same fused pass the exact explorer runs —
 :meth:`~repro.transform.analysis.KernelAnalysis.config_columns` at the
 injected size, one :func:`~repro.gpu.vectorized.fused_argmin` over a
 reused :class:`~repro.gpu.vectorized.ScoreArena` — so labels are

@@ -3,7 +3,7 @@
 :class:`SurrogateEngine` wraps an exact
 :class:`~repro.service.engine.ProjectionEngine` and answers
 :class:`~repro.service.engine.ProjectionRequest`s through the learned
-model whenever it is confident, falling back to the exact streaming
+model whenever it is confident, falling back to the exact fused
 pipeline otherwise.  Three serving modes:
 
 - ``auto`` (default) — confidence-gated: the model answers when every
@@ -398,9 +398,8 @@ class SurrogateBatchAdapter:
     """Duck-typed stand-in for the engine in the JSONL batch runner.
 
     :func:`repro.service.jobs.project_parsed` calls
-    ``engine.project(request, workers)`` — this adapter drops the
-    fan-out argument (the surrogate path has nothing to fan out) and
-    serves through the gated engine, so ``python -m repro batch
+    ``engine.project(request)`` — this adapter serves it through the
+    gated engine in its fixed mode, so ``python -m repro batch
     --surrogate`` writes records that carry the serving path.
     """
 
@@ -411,7 +410,5 @@ class SurrogateBatchAdapter:
         self.mode = mode
         self.metrics = engine.metrics
 
-    def project(
-        self, request: ProjectionRequest, workers: int | None = None
-    ) -> SurrogateResponse:
+    def project(self, request: ProjectionRequest) -> SurrogateResponse:
         return self.engine.project(request, self.mode)

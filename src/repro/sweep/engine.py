@@ -8,8 +8,9 @@ application skeleton instantiated at many dataset sizes — in one pass:
    count; the anchor points' transfer plans must fit one affine template
    over the size axis.
 2. **Evaluate**: the transformation grid of *all* points scores as a
-   single :func:`~repro.gpu.vectorized.score_grid` NumPy pass per
-   kernel; non-anchor transfer plans come from the template.
+   single :func:`~repro.gpu.vectorized.fused_seconds` NumPy pass per
+   kernel and architecture, and only each point's ranking head is
+   materialized; non-anchor transfer plans come from the template.
 
 Every certificate failure degrades gracefully to the exact per-point
 pipeline (never to a wrong answer), and both paths produce identical
@@ -22,6 +23,7 @@ tests in ``tests/sweep/`` compare them with dataclass equality, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -33,16 +35,17 @@ from repro.datausage.transfers import TransferPlan
 from repro.gpu.arch import GPUArchitecture
 from repro.gpu.model import GpuPerformanceModel
 from repro.gpu.registry import ArchSpec, get_arch, get_spec, spec_for_arch
-from repro.gpu.vectorized import bound_min_grid, score_grid
+from repro.gpu.vectorized import ScoreArena, fused_seconds
 from repro.obs.trace import span as trace_span
 from repro.pcie.model import BusModel
 from repro.skeleton.program import ProgramSkeleton
 from repro.sweep.structure import fit_plan_template, shared_kernel_analyses
 from repro.transform.explorer import (
-    CandidateResult,
     KernelProjection,
     ProgramProjection,
     project_program,
+    top_projection,
+    top_rows,
 )
 from repro.transform.space import TransformationSpace
 from repro.workloads.base import Dataset, Workload
@@ -53,65 +56,15 @@ from repro.workloads.base import Dataset, Workload
 #: is detected and sent down the exact path.
 MAX_PLAN_ANCHORS = 3
 
-#: The point-invariant characteristics fields, tiled across points by
-#: :func:`_grid_columns`; ``threads`` and ``block_size`` (derived from
-#: the per-point work-item count) are read per row instead.
-_TILED_FIELDS = (
-    ("registers_per_thread", np.int64),
-    ("shared_mem_per_block", np.int64),
-    ("bytes_per_access", np.int64),
-    ("mem_insts_per_thread", np.float64),
-    ("comp_insts_per_thread", np.float64),
-    ("coalesced_fraction", np.float64),
-    ("syncs_per_thread", np.float64),
-)
-
-
-def _grid_columns(grids: list[list]) -> dict[str, np.ndarray]:
-    """Structure-of-arrays view of a full characteristics grid.
-
-    Exploits the sweep's sharing certificate: every row of ``grids``
-    holds the same per-config objects modulo ``threads`` and the block
-    floor ``block_size`` depends on, so the other fields are read from
-    the first point only and tiled — the scorer sees exactly the values
-    it would have read from each row object.
-    """
-    points = len(grids)
-    first = grids[0]
-    columns = {
-        name: np.tile(
-            np.asarray([getattr(c, name) for c in first], dtype), points
-        )
-        for name, dtype in _TILED_FIELDS
-    }
-    flat = [c for row in grids for c in row]
-    columns["threads"] = np.asarray(
-        [c.threads for c in flat], dtype=np.int64
-    )
-    columns["block_size"] = np.asarray(
-        [c.block_size for c in flat], dtype=np.int64
-    )
-    return columns
-
-
 @dataclass(frozen=True)
 class SweepArgmin:
-    """The best point of a sweep, found without scoring every point.
-
-    ``bounds`` holds the per-point provable lower bounds that drove the
-    tile pruning (``None`` when the sharing certificate failed and every
-    point was evaluated); ``evaluated`` lists the point indices that were
-    fully projected — every other point was skipped because its whole
-    tile's bound exceeded the incumbent.
-    """
+    """The best point of a sweep (first minimum in point order)."""
 
     #: Position of the winning point in the sweep's point order.
     index: int
     projection: Projection
     #: ``projection.total_seconds(1)`` — the quantity minimized.
     seconds: float
-    bounds: tuple[float, ...] | None
-    evaluated: tuple[int, ...]
     stats: dict[str, int]
 
 
@@ -170,10 +123,9 @@ class SweepEngine:
     """Projects parameter sweeps; point-for-point equal to the projector.
 
     Construction mirrors :class:`~repro.core.projector.GrophecyPlusPlus`
-    (same architecture/bus/space/batched-transfers knobs, fast-path
-    exploration with optional pruning); ``stats`` exposes how the last
-    sweep was served (how many points rode the shared structure vs the
-    exact fallback).
+    (same architecture/bus/space/batched-transfers knobs, fused
+    exploration); ``stats`` exposes how the last sweep was served (how
+    many points rode the shared structure vs the exact fallback).
     """
 
     def __init__(
@@ -182,7 +134,6 @@ class SweepEngine:
         bus: BusModel,
         space: TransformationSpace | None = None,
         batched_transfers: bool = False,
-        prune: bool = False,
     ) -> None:
         self._model = (
             gpu
@@ -192,7 +143,6 @@ class SweepEngine:
         self._bus = bus
         self._space = space or TransformationSpace.default()
         self._batched = batched_transfers
-        self._prune = prune
         self.stats: dict[str, int] = {}
 
     @property
@@ -258,7 +208,13 @@ class SweepEngine:
             "sweep", category="sweep", points=len(programs)
         ) as root:
             anchors = self._anchor_indices(len(programs), sizes)
-            kernels = self._sweep_kernels(programs, anchors)
+            shared = self._shared_kernels(
+                programs,
+                anchors,
+                self._model.arch.strict_coalescing,
+                [self._model],
+            )
+            kernels = None if shared is None else shared[0]
             with trace_span(
                 "transfer-planning", category="sweep", points=len(programs)
             ):
@@ -284,12 +240,7 @@ class SweepEngine:
                     kernel_projection = (
                         kernels[index]
                         if kernels is not None
-                        else project_program(
-                            program,
-                            self._model,
-                            self._space,
-                            prune=self._prune,
-                        )
+                        else project_program(program, self._model, self._space)
                     )
                     plan = plans[index]
                     if plan is None:
@@ -316,12 +267,11 @@ class SweepEngine:
                 )
         return projections
 
-    # Tile-pruned argmin ----------------------------------------------------
+    # Argmin ----------------------------------------------------------------
     def argmin_workload(
         self,
         workload: Workload,
         datasets: Sequence[Dataset] | None = None,
-        tile: int = 4,
     ) -> SweepArgmin:
         """:meth:`argmin` over a workload's datasets (in dataset order)."""
         points = list(datasets) if datasets is not None else list(
@@ -331,7 +281,6 @@ class SweepEngine:
             [workload.skeleton(d) for d in points],
             hints=[workload.hints(d) for d in points],
             sizes=[d.size for d in points],
-            tile=tile,
         )
 
     def argmin(
@@ -339,170 +288,25 @@ class SweepEngine:
         programs: Sequence[ProgramSkeleton],
         hints: Sequence[AnalysisHints | None] | None = None,
         sizes: Sequence[int] | None = None,
-        tile: int = 4,
     ) -> SweepArgmin:
-        """The sweep point with the smallest ``total_seconds(1)``,
-        pruning whole tiles the bounds prove cannot win.
+        """The sweep point with the smallest ``total_seconds(1)``.
 
-        The sweep grid is cut into contiguous tiles of ``tile`` points.
-        Each point gets a provable lower bound: the per-kernel floor from
-        :func:`~repro.gpu.vectorized.bound_min_grid` (min over legal
-        configs of the branch-and-bound floor — below any mapping's true
-        time) plus the point's *exact* transfer seconds (anchors run the
-        exact analyzer; other points instantiate the Fraction-affine
-        :class:`~repro.sweep.structure.PlanTemplate`, which equals the
-        exact plan wherever it certifies).  The tile with the smallest
-        bound is evaluated first to seed the incumbent; a tile whose
-        bound strictly exceeds the incumbent is skipped whole — every
-        point in it has ``true >= bound > incumbent >= global min``, so
-        it can neither win nor tie, and the returned argmin (first
-        minimum in point order) is identical to evaluating every point.
-
-        Same contract as :meth:`sweep` otherwise: every evaluated point's
-        projection equals the per-point pipeline's, and a point with no
-        legal mapping raises.  When the sharing certificate fails, every
-        tile is evaluated (graceful degradation, never a wrong answer).
+        A full :meth:`sweep` (same validation, same projections), then
+        the first minimum in point order — exactly what ``min()`` over
+        the sweep's totals picks.
         """
         programs = list(programs)
         if not programs:
             raise ValueError("argmin needs at least one sweep point")
-        if tile < 1:
-            raise ValueError(f"tile must be >= 1, got {tile}")
-        hints_list = (
-            list(hints) if hints is not None else [None] * len(programs)
-        )
-        if len(hints_list) != len(programs):
-            raise ValueError(
-                f"hints do not match programs: {len(hints_list)} vs "
-                f"{len(programs)}"
-            )
-        if sizes is not None and len(sizes) != len(programs):
-            raise ValueError(
-                f"sizes do not match programs: {len(sizes)} vs "
-                f"{len(programs)}"
-            )
-        count = len(programs)
-        with trace_span(
-            "sweep-argmin", category="sweep", points=count, tile=tile
-        ) as root:
-            bounds = self._point_bounds(programs, hints_list, sizes)
-            tiles = [
-                (lo, min(lo + tile, count)) for lo in range(0, count, tile)
-            ]
-            if bounds is None:
-                order = list(range(len(tiles)))
-                tile_bounds = None
-            else:
-                tile_bounds = [
-                    min(bounds[lo:hi]) for lo, hi in tiles
-                ]
-                seed = tile_bounds.index(min(tile_bounds))
-                order = [seed] + [
-                    t for t in range(len(tiles)) if t != seed
-                ]
-
-            best_index = -1
-            best_seconds = float("inf")
-            best_projection: Projection | None = None
-            evaluated: list[int] = []
-            pruned_tiles = 0
-            for t in order:
-                lo, hi = tiles[t]
-                if tile_bounds is not None and tile_bounds[t] > best_seconds:
-                    pruned_tiles += 1
-                    continue
-                projections = self.sweep(
-                    programs[lo:hi],
-                    hints_list[lo:hi],
-                    sizes[lo:hi] if sizes is not None else None,
-                )
-                for offset, projection in enumerate(projections):
-                    index = lo + offset
-                    evaluated.append(index)
-                    seconds = projection.total_seconds(1)
-                    # Strict < with (seconds, index) ordering: the first
-                    # minimum in point order wins, exactly as a full
-                    # sweep's min() would pick it.
-                    if seconds < best_seconds or (
-                        seconds == best_seconds and index < best_index
-                    ):
-                        best_index = index
-                        best_seconds = seconds
-                        best_projection = projection
-            assert best_projection is not None  # count >= 1 and tiles cover
-            evaluated.sort()
-            stats = {
-                "points": count,
-                "tiles": len(tiles),
-                "tiles_pruned": pruned_tiles,
-                "points_evaluated": len(evaluated),
-                "points_pruned": count - len(evaluated),
-                "bounded": int(bounds is not None),
-            }
-            self.stats = stats
-            root.set(**stats)
+        projections = self.sweep(programs, hints=hints, sizes=sizes)
+        totals = [p.total_seconds(1) for p in projections]
+        index = min(range(len(totals)), key=lambda i: (totals[i], i))
         return SweepArgmin(
-            index=best_index,
-            projection=best_projection,
-            seconds=best_seconds,
-            bounds=tuple(bounds) if bounds is not None else None,
-            evaluated=tuple(evaluated),
-            stats=stats,
+            index=index,
+            projection=projections[index],
+            seconds=totals[index],
+            stats=dict(self.stats),
         )
-
-    def _point_bounds(
-        self,
-        programs: list[ProgramSkeleton],
-        hints_list: list[AnalysisHints | None],
-        sizes: Sequence[int] | None,
-    ) -> list[float] | None:
-        """Provable per-point lower bounds on ``total_seconds(1)``.
-
-        ``None`` when the kernel-sharing certificate fails (no cheap
-        bound exists without per-point analysis — the caller then
-        evaluates every tile).
-        """
-        anchors = self._anchor_indices(len(programs), sizes)
-        shared = shared_kernel_analyses(
-            programs, self._model.arch.strict_coalescing, anchors
-        )
-        if shared is None:
-            return None
-        configs = list(self._space.configs())
-        count = len(programs)
-        kernel_floor = [0.0] * count
-        for analysis, point_iterations in shared:
-            # One stacked bound pass per kernel: each point's columns are
-            # concatenated and reduced segment-wise.
-            per_point = [
-                analysis.config_columns(configs, iterations)[0]
-                for iterations in point_iterations
-            ]
-            stacked = {
-                field: np.concatenate([c[field] for c in per_point])
-                for field in per_point[0]
-            }
-            segments = []
-            offset = 0
-            for point_columns in per_point:
-                rows = int(point_columns["block_size"].shape[0])
-                segments.append((offset, offset + rows))
-                offset += rows
-            for point, floor in enumerate(
-                bound_min_grid(self._model, stacked, segments)
-            ):
-                kernel_floor[point] += floor
-        plans, _template_points = self._sweep_plans(
-            programs, hints_list, sizes, anchors
-        )
-        bounds = []
-        for index, program in enumerate(programs):
-            plan = plans[index]
-            if plan is None:
-                plan = self._exact_plan(program, hints_list[index])
-            transfer = sum(self._bus.predict_plan_by_transfer(plan))
-            bounds.append(kernel_floor[index] + transfer)
-        return bounds
 
     def sweep_buses(
         self, plan: TransferPlan, buses: Sequence[BusModel]
@@ -669,18 +473,13 @@ class SweepEngine:
             )
             shared_groups = 0
             for flag, members in groups.items():
-                group_rows = self._arch_group_kernels(
+                group_rows = self._shared_kernels(
                     programs, anchors, flag, [models[i] for i in members]
                 )
                 if group_rows is None:
                     for i in members:
                         kernels[i] = [
-                            project_program(
-                                program,
-                                models[i],
-                                self._space,
-                                prune=self._prune,
-                            )
+                            project_program(program, models[i], self._space)
                             for program in programs
                         ]
                 else:
@@ -781,7 +580,7 @@ class SweepEngine:
             for (arch_id, arch, _spec), bus in zip(resolved, bus_list)
         ]
 
-    def _arch_group_kernels(
+    def _shared_kernels(
         self,
         programs: list[ProgramSkeleton],
         anchors: list[int],
@@ -792,44 +591,50 @@ class SweepEngine:
         group via a single shared analysis, or ``None`` when the sharing
         certificate fails (caller degrades to the per-point pipeline).
 
-        The characteristics grid depends on the coalescing rules but not
-        on the rest of the machine table, so it is synthesized once and
-        scored once per architecture — the same grid/columns objects feed
-        every :func:`~repro.gpu.vectorized.score_grid` pass (the batch
-        reads them, never writes).
+        Each kernel's per-point
+        :meth:`~repro.transform.analysis.KernelAnalysis.config_columns`
+        stack into one grid — it depends on the coalescing rules but not
+        on the rest of the machine table — scored by one
+        :func:`~repro.gpu.vectorized.fused_seconds` pass per architecture.
+        Only each point's ranking head materializes, through
+        :meth:`~repro.transform.analysis.KernelAnalysis.characteristics_at`
+        and the scalar ``model.breakdown``.
         """
         shared = shared_kernel_analyses(programs, strict_coalescing, anchors)
         if shared is None:
             return None
-        configs = list(self._space.configs())
+        configs = self._space.configs()
+        arena = ScoreArena()
         per_model_point: list[list[list[KernelProjection]]] = [
             [[] for _ in programs] for _ in models
         ]
         for analysis, point_iterations in shared:
-            grids, synthesis_errors = analysis.characteristics_grid(
-                configs, point_iterations
-            )
-            if synthesis_errors:
-                compact = [
-                    [c for c in chars if c is not None] for chars in grids
-                ]
-                columns = None
-            else:
-                compact = grids
-                columns = _grid_columns(grids)
+            # Synthesis failures depend on the config alone, so every
+            # point keeps the same rows (and the same index map).
+            per_point = [
+                analysis.config_columns(configs, iterations)
+                for iterations in point_iterations
+            ]
+            index_map = per_point[0][1].tolist()
+            columns = {
+                field: np.concatenate([c[field] for c, _, _ in per_point])
+                for field in per_point[0][0]
+            }
             for m, model in enumerate(models):
-                scored = score_grid(
-                    model, compact, prune=self._prune, columns=columns
-                )
-                for point, (chars, results) in enumerate(zip(grids, scored)):
+                seconds, _legal = fused_seconds(model, columns, arena)
+                ranked, legal = top_rows(seconds, len(point_iterations))
+                for point, iterations in enumerate(point_iterations):
                     per_model_point[m][point].append(
-                        self._assemble_kernel(
+                        top_projection(
                             analysis.kernel.name,
-                            configs,
-                            chars,
-                            synthesis_errors,
-                            results,
-                            model=model,
+                            model,
+                            len(configs),
+                            legal[point],
+                            [configs[index_map[r]] for r in ranked[point]],
+                            partial(
+                                analysis.characteristics_at,
+                                parallel_iterations=iterations,
+                            ),
                         )
                     )
         return [
@@ -859,114 +664,6 @@ class SweepEngine:
             return list(range(count))
         order = sorted(range(count), key=lambda i: sizes[i])
         return sorted({order[0], order[count // 2], order[-1]})
-
-    # Kernel side -----------------------------------------------------------
-    def _sweep_kernels(
-        self, programs: list[ProgramSkeleton], anchors: list[int]
-    ) -> list[ProgramProjection] | None:
-        """All points' kernel projections via shared analyses, or None."""
-        shared = shared_kernel_analyses(
-            programs, self._model.arch.strict_coalescing, anchors
-        )
-        if shared is None:
-            return None
-        configs = list(self._space.configs())
-        per_point: list[list[KernelProjection]] = [[] for _ in programs]
-        for analysis, point_iterations in shared:
-            # Per-config synthesis errors do not depend on the work-item
-            # count, so the grid reports each failing config once.
-            grids, synthesis_errors = analysis.characteristics_grid(
-                configs, point_iterations
-            )
-            if synthesis_errors:
-                scored = score_grid(
-                    self._model,
-                    [[c for c in chars if c is not None] for chars in grids],
-                    prune=self._prune,
-                )
-            else:
-                # Full grid: every field except threads/block_size is
-                # point-invariant (that is what the sharing certificate
-                # guarantees), so read those once from the first point
-                # and tile instead of per-row attribute sweeps.
-                scored = score_grid(
-                    self._model,
-                    grids,
-                    prune=self._prune,
-                    columns=_grid_columns(grids),
-                )
-            for point, (chars, results) in enumerate(zip(grids, scored)):
-                projection = self._assemble_kernel(
-                    analysis.kernel.name, configs, chars,
-                    synthesis_errors, results,
-                )
-                per_point[point].append(projection)
-        return [
-            ProgramProjection(
-                program=program.name, kernels=tuple(per_point[index])
-            )
-            for index, program in enumerate(programs)
-        ]
-
-    def _assemble_kernel(
-        self,
-        kernel_name: str,
-        configs: list,
-        chars: list,
-        synthesis_errors: dict[int, str],
-        results: list[tuple[str, object]],
-        model: GpuPerformanceModel | None = None,
-    ) -> KernelProjection:
-        """Mirror of the fast path's per-kernel result assembly."""
-        model = model if model is not None else self._model
-        candidates: list[CandidateResult] = []
-        skipped: list[tuple] = []
-        pruned: list[tuple] = []
-        best: CandidateResult | None = None
-        best_seconds = float("inf")
-        # CandidateResult is a frozen dataclass; bypassing its
-        # per-field ``object.__setattr__`` construction (as the scorer's
-        # materialize step does) keeps this per-point loop cheap.  The
-        # strict ``<`` replays min()'s first-minimum tie-break.
-        new = object.__new__
-        add_candidate = candidates.append
-        if synthesis_errors:
-            scored: list[tuple] = []
-            results_iter = iter(results)
-            for index, config in enumerate(configs):
-                if index in synthesis_errors:
-                    skipped.append((config, synthesis_errors[index]))
-                else:
-                    scored.append((config, chars[index], next(results_iter)))
-        else:
-            scored = list(zip(configs, chars, results))
-        for config, characteristics, (kind, payload) in scored:
-            if kind == "candidate":
-                candidate = new(CandidateResult)
-                fields = candidate.__dict__
-                fields["config"] = config
-                fields["characteristics"] = characteristics
-                fields["breakdown"] = payload
-                add_candidate(candidate)
-                if payload.seconds < best_seconds:
-                    best = candidate
-                    best_seconds = payload.seconds
-            elif kind == "illegal":
-                skipped.append((config, payload))
-            else:
-                pruned.append((config, payload))
-        if best is None:
-            raise ValueError(
-                f"no legal mapping for kernel {kernel_name!r} on "
-                f"{model.arch.name} (tried {len(skipped)})"
-            )
-        return KernelProjection(
-            kernel=kernel_name,
-            best=best,
-            candidates=tuple(candidates),
-            skipped=tuple(skipped),
-            pruned=tuple(pruned),
-        )
 
     # Transfer side ---------------------------------------------------------
     def _exact_plan(
@@ -1028,9 +725,7 @@ class SweepEngine:
         and ``bus`` override the engine's for per-arch oracle runs."""
         model = model if model is not None else self._model
         bus = bus if bus is not None else self._bus
-        kernels = project_program(
-            program, model, self._space, prune=self._prune
-        )
+        kernels = project_program(program, model, self._space)
         plan = self._exact_plan(program, hints)
         per_transfer = tuple(bus.predict_plan_by_transfer(plan))
         return Projection(

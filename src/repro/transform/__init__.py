@@ -15,22 +15,13 @@ from repro.transform.synthesize import (
 )
 from repro.transform.analysis import KernelAnalysis, analyze_kernel
 from repro.transform.explorer import (
+    TOP_K,
     CandidateResult,
     KernelProjection,
     ProgramProjection,
     explore_configs,
     explore_kernel,
     project_program,
-)
-from repro.transform.fastpath import (
-    explore_configs_fast,
-    explore_kernel_fast,
-)
-from repro.transform.stream import (
-    StreamingExplorer,
-    StreamProgramResult,
-    StreamResult,
-    explore_kernel_stream,
 )
 from repro.transform.fusion import (
     FusionChoice,
@@ -50,14 +41,9 @@ __all__ = [
     "CandidateResult",
     "KernelProjection",
     "ProgramProjection",
+    "TOP_K",
     "explore_configs",
-    "explore_configs_fast",
     "explore_kernel",
-    "explore_kernel_fast",
-    "StreamingExplorer",
-    "StreamProgramResult",
-    "StreamResult",
-    "explore_kernel_stream",
     "project_program",
     "FusionChoice",
     "StencilShape",

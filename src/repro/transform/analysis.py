@@ -1,4 +1,4 @@
-"""Precomputed per-kernel analysis for the fast exploration path.
+"""Precomputed per-kernel analysis for the fused exploration path.
 
 The reference :func:`~repro.transform.synthesize.synthesize_characteristics`
 re-derives every characteristic from the skeleton for each candidate
@@ -90,10 +90,9 @@ class KernelAnalysis:
     parallel loop to map (the same error the reference synthesis raises
     per config).
 
-    Thread-safety: the profile cache is a plain dict — concurrent callers
-    may redundantly compute the same (identical, immutable) profile, which
-    is benign; the service's chunk scorer shares one analysis across its
-    worker pool.
+    Thread-safety: the profile and tail caches are plain dicts —
+    concurrent callers may redundantly compute the same (identical,
+    immutable) entry, which is benign.
     """
 
     def __init__(
@@ -514,13 +513,13 @@ class KernelAnalysis:
 
         Returns ``(columns, index_map, errors)``: one NumPy array per
         :class:`KernelCharacteristics` field (the
-        :data:`repro.gpu.vectorized.COLUMN_FIELDS` layout), the original
+        :func:`repro.gpu.vectorized.fused_seconds` input), the original
         config index of each row (synthesis failures are dropped from the
         rows but keep their position in ``errors``), and the per-config
         synthesis error messages.  Row order is grid order, so an argmin
         over the columns obeys the explorer's first-minimum tie-break.
 
-        This is the streaming scorer's input: values are bitwise-equal to
+        This is the fused scorer's input: values are bitwise-equal to
         the per-config :meth:`characteristics` fields — the tails are the
         same cached tuples, and the threads/block-floor ceilings replay
         the same scalar expressions — but nothing per-config is
@@ -600,91 +599,6 @@ class KernelAnalysis:
             "syncs_per_thread": np.asarray(syncs, dtype=np.float64),
         }
         return columns, index_map, errors
-
-    def characteristics_grid(
-        self,
-        configs: Sequence[MappingConfig],
-        iterations_list: Sequence[int],
-    ) -> tuple[list[list[KernelCharacteristics | None]], dict[int, str]]:
-        """:meth:`characteristics_at` over a whole configs x points grid.
-
-        Returns one characteristics row per work-item count, with ``None``
-        in the slots of configs whose synthesis fails (each such config is
-        reported once, by position, in the error dict — the failure is
-        independent of the work-item count, so one message covers every
-        point).  Iterating config-outer pays the tail and template
-        lookups once per config instead of once per cell and shares the
-        thread-count ceiling across configs with equal coarsening, which
-        is what makes the sweep engine's per-point cost a handful of
-        dict writes.
-        """
-        points = len(iterations_list)
-        grids: list[list[KernelCharacteristics | None]] = [
-            [None] * len(configs) for _ in range(points)
-        ]
-        errors: dict[int, str] = {}
-        threads_rows: dict[int, list[tuple[int, int]]] = {}
-        new = object.__new__
-        for index, config in enumerate(configs):
-            try:
-                tail = self._config_tail(config)
-            except ValueError as exc:
-                errors[index] = str(exc)
-                continue
-            (
-                name,
-                block,
-                comp_insts,
-                mem_insts,
-                coalesced,
-                registers,
-                smem_bytes,
-                syncs,
-                coarse,
-            ) = tail
-            pairs = threads_rows.get(coarse)
-            if pairs is None:
-                pairs = []
-                for iterations in iterations_list:
-                    threads = max(1, math.ceil(iterations / coarse))
-                    pairs.append((threads, 32 if threads < 32 else threads))
-                threads_rows[coarse] = pairs
-            template = self._char_fields.get(config)
-            start = 0
-            if template is None:
-                threads, block_floor = pairs[0]
-                try:
-                    chars = KernelCharacteristics(
-                        name,
-                        threads,
-                        block if block < block_floor else block_floor,
-                        comp_insts,
-                        mem_insts,
-                        coalesced,
-                        self._bytes_pa,
-                        registers,
-                        smem_bytes,
-                        syncs,
-                    )
-                except ValueError as exc:
-                    errors[index] = str(exc)
-                    continue
-                template = dict(chars.__dict__)
-                self._char_fields[config] = template
-                grids[0][index] = chars
-                start = 1
-            for row, (threads, block_floor) in zip(
-                grids[start:], pairs[start:]
-            ):
-                chars = new(KernelCharacteristics)
-                fields = chars.__dict__
-                fields.update(template)
-                fields["threads"] = threads
-                fields["block_size"] = (
-                    block if block < block_floor else block_floor
-                )
-                row[index] = chars
-        return grids, errors
 
 
 def analyze_kernel(

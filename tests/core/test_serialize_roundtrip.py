@@ -67,7 +67,6 @@ kernel_provenances = st.builds(
     runner_up_gap_seconds=st.none() | finite,
     configs_explored=st.integers(0, 10_000),
     configs_skipped=st.integers(0, 10_000),
-    configs_pruned=st.integers(0, 10_000),
 )
 
 transfer_provenances = st.builds(

@@ -1,7 +1,6 @@
-"""Tests for the vectorized MWP/CWP batch scorer and its lower bound."""
+"""Tests for the fused MWP/CWP grid scorer against the scalar model."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -9,18 +8,38 @@ import pytest
 from repro.gpu.arch import gtx_280, quadro_fx_5600, tesla_c1060
 from repro.gpu.characteristics import KernelCharacteristics
 from repro.gpu.model import GpuPerformanceModel
-from repro.gpu.vectorized import (
-    ScoreArena,
-    _Batch,
-    bound_min_grid,
-    columns_from_chars,
-    fused_argmin,
-    fused_seconds,
-    lower_bound_seconds,
-    score_batch,
-)
+from repro.gpu.vectorized import ScoreArena, fused_argmin, fused_seconds
 
 ARCHES = [quadro_fx_5600, tesla_c1060, gtx_280]
+
+#: The scorer's input columns: one array per characteristics field.
+FIELDS = (
+    ("block_size", np.int64),
+    ("registers_per_thread", np.int64),
+    ("shared_mem_per_block", np.int64),
+    ("threads", np.int64),
+    ("bytes_per_access", np.int64),
+    ("mem_insts_per_thread", np.float64),
+    ("comp_insts_per_thread", np.float64),
+    ("coalesced_fraction", np.float64),
+    ("syncs_per_thread", np.float64),
+)
+
+
+def columns(chars_list):
+    """Structure-of-arrays view of a characteristics list."""
+    return {
+        field: np.asarray([getattr(c, field) for c in chars_list], dtype)
+        for field, dtype in FIELDS
+    }
+
+
+def scalar(model, chars):
+    """The scalar breakdown, or the ValueError text for illegal rows."""
+    try:
+        return model.breakdown(chars)
+    except ValueError as exc:
+        return str(exc)
 
 
 def chars_grid():
@@ -72,73 +91,26 @@ class TestScoreBatchEquivalence:
     def test_rowwise_bitwise_equal_to_scalar(self, arch_fn):
         model = GpuPerformanceModel(arch_fn())
         batch = chars_grid()
-        scored = score_batch(model, batch)
-        assert len(scored) == len(batch)
-        for chars, (kind, payload) in zip(batch, scored):
-            try:
-                ref = model.breakdown(chars)
-            except ValueError as exc:
-                assert kind == "illegal"
-                assert payload == str(exc)
+        seconds, legal = fused_seconds(model, columns(batch), ScoreArena())
+        assert seconds.shape == (len(batch),)
+        scored = 0
+        for chars, row in zip(batch, seconds.tolist()):
+            ref = scalar(model, chars)
+            if isinstance(ref, str):
+                assert row == float("inf")
                 continue
-            assert kind == "candidate"
-            # Dataclass equality covers every field, occupancy included;
-            # seconds must match bit for bit, not approximately.
-            assert payload == ref
-            assert payload.seconds == ref.seconds
-
-    def test_lower_bound_below_true_time(self, arch_fn):
-        model = GpuPerformanceModel(arch_fn())
-        batch = chars_grid()
-        bounds = lower_bound_seconds(model, batch)
-        for chars, bound in zip(batch, bounds):
-            try:
-                ref = model.breakdown(chars)
-            except ValueError:
-                assert math.isnan(bound)
-                continue
-            assert bound <= ref.seconds
-
-
-class TestPruning:
-    def test_pruned_rows_cannot_contain_argmin(self):
-        model = GpuPerformanceModel(quadro_fx_5600())
-        batch = chars_grid()
-        plain = score_batch(model, batch)
-        pruned = score_batch(model, batch, prune=True)
-        best_ref = min(
-            (p.seconds, i)
-            for i, (kind, p) in enumerate(plain)
-            if kind == "candidate"
-        )
-        survivors = {
-            i: p for i, (kind, p) in enumerate(pruned) if kind == "candidate"
-        }
-        # First-minimum argmin survives with a bitwise-equal time.
-        assert best_ref[1] in survivors
-        assert survivors[best_ref[1]].seconds == best_ref[0]
-        # Survivors are bitwise-equal to the plain scoring.
-        for i, payload in survivors.items():
-            assert payload == plain[i][1]
-        # Illegal rows keep their reasons; pruned rows explain the bound.
-        for (k_plain, p_plain), (k_pruned, p_pruned) in zip(plain, pruned):
-            if k_plain == "illegal":
-                assert (k_pruned, p_pruned) == (k_plain, p_plain)
-            elif k_pruned == "pruned":
-                assert "lower bound" in p_pruned
-
-    def test_single_legal_row_never_pruned(self):
-        model = GpuPerformanceModel(quadro_fx_5600())
-        batch = [chars_grid()[0]]
-        scored = score_batch(model, batch, prune=True)
-        assert scored[0][0] == "candidate"
+            scored += 1
+            # Seconds must match bit for bit, not approximately.
+            assert row == ref.seconds
+        assert legal == scored
 
 
 class TestEdgeCases:
     def test_empty_batch(self):
         model = GpuPerformanceModel(quadro_fx_5600())
-        assert score_batch(model, []) == []
-        assert lower_bound_seconds(model, []).shape == (0,)
+        seconds, legal = fused_seconds(model, columns([]), ScoreArena())
+        assert seconds.shape == (0,)
+        assert legal == 0
 
     def test_all_illegal_batch(self):
         model = GpuPerformanceModel(quadro_fx_5600())
@@ -148,27 +120,31 @@ class TestEdgeCases:
                 comp_insts_per_thread=1.0, mem_insts_per_thread=1.0,
             )
         ]
-        scored = score_batch(model, batch, prune=True)
-        assert scored[0][0] == "illegal"
-        assert "block size 1024" in scored[0][1]
-        assert np.isnan(lower_bound_seconds(model, batch)).all()
+        seconds, legal = fused_seconds(model, columns(batch), ScoreArena())
+        assert legal == 0
+        assert seconds.tolist() == [float("inf")]
+        assert "block size 1024" in scalar(model, batch[0])
 
 
 class TestErrorMessages:
-    """`_Batch.error_message` must reproduce the scalar raise texts."""
+    """Illegal rows: the fused pass flags exactly the rows the scalar
+    occupancy rejects, and the scalar model keeps the raise order."""
 
     @pytest.mark.parametrize("arch_fn", ARCHES)
     def test_matches_scalar_text_for_every_illegal_row(self, arch_fn):
         model = GpuPerformanceModel(arch_fn())
         chars_list = chars_grid()
-        batch = _Batch(model, chars_list)
+        seconds, _legal = fused_seconds(
+            model, columns(chars_list), ScoreArena()
+        )
         illegal_seen = 0
-        for i, chars in enumerate(chars_list):
-            try:
-                model.breakdown(chars)
-            except ValueError as exc:
+        for chars, row in zip(chars_list, seconds.tolist()):
+            ref = scalar(model, chars)
+            if isinstance(ref, str):
                 illegal_seen += 1
-                assert batch.error_message(i) == str(exc)
+                assert row == float("inf"), ref
+            else:
+                assert row == ref.seconds
         assert illegal_seen > 0  # the grid must actually exercise this
 
     def test_block_error_wins_over_registers(self):
@@ -180,10 +156,8 @@ class TestErrorMessages:
             comp_insts_per_thread=1.0, mem_insts_per_thread=1.0,
             registers_per_thread=124,
         )
-        batch = _Batch(model, [chars])
-        message = batch.error_message(0)
-        assert message.startswith("block size 1024")
-        with pytest.raises(ValueError, match="block size 1024"):
+        assert fused_argmin(model, columns([chars]), ScoreArena())[0] == -1
+        with pytest.raises(ValueError, match="^block size 1024"):
             model.breakdown(chars)
 
     def test_register_error_wins_over_shared_memory(self):
@@ -193,8 +167,7 @@ class TestErrorMessages:
             comp_insts_per_thread=1.0, mem_insts_per_thread=1.0,
             registers_per_thread=124, shared_mem_per_block=1 << 20,
         )
-        batch = _Batch(model, [chars])
-        assert "registers per block" in batch.error_message(0)
+        assert fused_argmin(model, columns([chars]), ScoreArena())[0] == -1
         with pytest.raises(ValueError, match="registers per block"):
             model.breakdown(chars)
 
@@ -207,46 +180,40 @@ class TestErrorMessages:
             name="wide", threads=4096, block_size=128,
             comp_insts_per_thread=1.0, mem_insts_per_thread=1.0,
         )
-        batch = _Batch(model, [chars])
-        message = batch.error_message(0)
-        assert message == (
+        assert fused_argmin(model, columns([chars]), ScoreArena())[0] == -1
+        assert scalar(model, chars) == (
             "kernel 'wide' cannot fit one block per SM (limited by warps)"
         )
-        with pytest.raises(ValueError) as exc:
-            model.breakdown(chars)
-        assert message == str(exc.value)
 
 
 class TestFusedScoring:
-    """The single-pass arena scorer vs the staged batch scorer."""
+    """The single-pass arena scorer vs the scalar model, row by row."""
 
     @pytest.mark.parametrize("arch_fn", ARCHES)
     def test_rowwise_equal_to_score_batch(self, arch_fn):
         model = GpuPerformanceModel(arch_fn())
         batch = chars_grid()
         arena = ScoreArena()
-        seconds, legal = fused_seconds(
-            model, columns_from_chars(batch), arena
-        )
-        scored = score_batch(model, batch)
-        assert legal == sum(1 for kind, _ in scored if kind == "candidate")
-        for row, (kind, payload) in zip(seconds, scored):
-            if kind == "candidate":
-                assert row == payload.seconds  # bitwise
-            else:
+        seconds, legal = fused_seconds(model, columns(batch), arena)
+        expected = [scalar(model, chars) for chars in batch]
+        assert legal == sum(not isinstance(e, str) for e in expected)
+        for row, ref in zip(seconds.tolist(), expected):
+            if isinstance(ref, str):
                 assert row == float("inf")
+            else:
+                assert row == ref.seconds  # bitwise
 
     def test_argmin_first_minimum(self):
         model = GpuPerformanceModel(quadro_fx_5600())
         batch = chars_grid()
         index, seconds, legal = fused_argmin(
-            model, columns_from_chars(batch), ScoreArena()
+            model, columns(batch), ScoreArena()
         )
-        scored = score_batch(model, batch)
+        scored = [scalar(model, chars) for chars in batch]
         expected = min(
-            (p.seconds, i)
-            for i, (kind, p) in enumerate(scored)
-            if kind == "candidate"
+            (ref.seconds, i)
+            for i, ref in enumerate(scored)
+            if not isinstance(ref, str)
         )
         assert (seconds, index) == expected
         assert legal > 0
@@ -254,14 +221,14 @@ class TestFusedScoring:
     def test_empty_columns(self):
         model = GpuPerformanceModel(quadro_fx_5600())
         assert fused_argmin(
-            model, columns_from_chars([]), ScoreArena()
+            model, columns([]), ScoreArena()
         ) == (-1, float("inf"), 0)
 
     def test_single_candidate(self):
         model = GpuPerformanceModel(quadro_fx_5600())
         batch = [chars_grid()[0]]
         index, seconds, legal = fused_argmin(
-            model, columns_from_chars(batch), ScoreArena()
+            model, columns(batch), ScoreArena()
         )
         assert (index, legal) == (0, 1)
         assert seconds == model.breakdown(batch[0]).seconds
@@ -275,7 +242,7 @@ class TestFusedScoring:
             )
         ]
         assert fused_argmin(
-            model, columns_from_chars(batch), ScoreArena()
+            model, columns(batch), ScoreArena()
         ) == (-1, float("inf"), 0)
 
     def test_arena_reuse_is_stable(self):
@@ -283,43 +250,11 @@ class TestFusedScoring:
         # results of a repeated pass stay bitwise identical.
         model = GpuPerformanceModel(quadro_fx_5600())
         arena = ScoreArena()
-        big = columns_from_chars(chars_grid())
-        small = columns_from_chars(chars_grid()[:5])
+        big = columns(chars_grid())
+        small = columns(chars_grid()[:5])
         first = fused_seconds(model, big, arena)[0].copy()
         fused_seconds(model, small, arena)
         grown = arena.nbytes()
         second = fused_seconds(model, big, arena)[0]
         assert np.array_equal(first, second)
         assert arena.nbytes() == grown  # steady state: no new buffers
-
-    def test_bound_min_grid_under_true_minimum(self):
-        model = GpuPerformanceModel(quadro_fx_5600())
-        batch = chars_grid()
-        columns = columns_from_chars(batch)
-        half = len(batch) // 2
-        segments = [(0, half), (half, len(batch)), (0, len(batch))]
-        floors = bound_min_grid(model, columns, segments)
-        scored = score_batch(model, batch)
-        for (lo, hi), floor in zip(segments, floors):
-            truths = [
-                p.seconds
-                for kind, p in scored[lo:hi]
-                if kind == "candidate"
-            ]
-            assert floor <= min(truths)
-
-    def test_bound_min_grid_illegal_segment_is_inf(self):
-        model = GpuPerformanceModel(quadro_fx_5600())
-        batch = [
-            KernelCharacteristics(
-                name="huge", threads=4096, block_size=1024,
-                comp_insts_per_thread=1.0, mem_insts_per_thread=1.0,
-            ),
-            chars_grid()[0],
-        ]
-        floors = bound_min_grid(
-            model, columns_from_chars(batch), [(0, 1), (1, 2), (2, 2)]
-        )
-        assert floors[0] == float("inf")
-        assert math.isfinite(floors[1])
-        assert floors[2] == float("inf")  # empty segment

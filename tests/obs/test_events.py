@@ -124,6 +124,19 @@ class TestJsonlSink:
             log.emit("submit", note="y" * 512)
         assert path.with_name("events.jsonl.1").exists()
 
+    def test_close_then_emit_appends_to_the_same_file(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path)
+        log.emit("submit", job_id="j1")
+        log.close()
+        log.close()  # idempotent
+        log.emit("complete", job_id="j1")
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(row["seq"], row["type"]) for row in rows] == [
+            (1, "submit"),
+            (2, "complete"),
+        ]
+
     def test_rejects_degenerate_limits(self, tmp_path):
         with pytest.raises(ValueError):
             EventLog(capacity=0)

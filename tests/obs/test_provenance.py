@@ -4,8 +4,11 @@ import pytest
 
 from repro.core.projector import GrophecyPlusPlus
 from repro.gpu.arch import quadro_fx_5600
+from repro.gpu.model import GpuPerformanceModel
 from repro.obs.provenance import ProjectionProvenance, build_provenance
 from repro.pcie.presets import pcie_gen1_bus, pcie_gen2_bus
+from repro.transform.explorer import explore_configs
+from repro.transform.space import TransformationSpace
 from repro.workloads.registry import all_workloads, get_workload
 
 
@@ -85,6 +88,37 @@ class TestRunnerUp:
                 prov.runner_up_gap_seconds
                 == min(others) - kp.best.seconds
             )
+
+
+class TestSearchCounts:
+    @pytest.mark.parametrize(
+        "name", [w.name for w in all_workloads()]
+    )
+    def test_counts_equal_the_reference_full_table(self, name):
+        """The projection keeps only the ranking head; provenance must
+        still report the full search, as the scalar table counts it."""
+        workload = get_workload(name)
+        program = workload.skeleton(workload.datasets()[0])
+        projection, bus = _project(name)
+        provenance = build_provenance(projection, bus)
+        model = GpuPerformanceModel(quadro_fx_5600())
+        space = TransformationSpace.default()
+        for prov, kernel in zip(provenance.kernels, program.kernels):
+            table, skipped = explore_configs(
+                kernel, program, model, space.configs()
+            )
+            assert (prov.configs_explored, prov.configs_skipped) == (
+                len(table),
+                len(skipped),
+            )
+            assert prov.search_width == len(space)
+            ranked = sorted(table, key=lambda c: c.seconds)
+            assert prov.best_mapping == ranked[0].config.label()
+            if len(ranked) > 1:
+                assert prov.runner_up_mapping == ranked[1].config.label()
+                assert prov.runner_up_gap_seconds == (
+                    ranked[1].seconds - ranked[0].seconds
+                )
 
 
 class TestRoundTripAndViews:

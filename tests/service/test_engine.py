@@ -8,6 +8,7 @@ from repro.pcie.presets import pcie_gen1_bus
 from repro.service.cache import ProjectionCache
 from repro.service.engine import ProjectionEngine, ProjectionRequest
 from repro.skeleton import KernelBuilder, ProgramBuilder
+from repro.transform.space import TransformationSpace
 
 
 def vector_program(n=4096, name="vadd"):
@@ -172,35 +173,24 @@ class TestBatching:
 
 
 class TestStreamExplorer:
+    """The default engine runs the fused scorer (the former argmin-only
+    "stream" path, now the only vectorized one); its summaries must be
+    the reference explorer's, counts included."""
+
     def test_stream_engine_matches_fast_totals(self):
         program = vector_program()
-        fast = ProjectionEngine(explorer="fast").project(
+        fused = ProjectionEngine().project(ProjectionRequest(program))
+        reference = ProjectionEngine(explorer="reference").project(
             ProjectionRequest(program)
         )
-        stream = ProjectionEngine(explorer="stream").project(
-            ProjectionRequest(program)
-        )
-        # Same winner, bitwise-equal times; only the candidate-table
-        # accounting (search_width) differs by design.
-        assert stream.summary.kernel_seconds == fast.summary.kernel_seconds
-        assert stream.summary.transfer_seconds == (
-            fast.summary.transfer_seconds
-        )
-        assert stream.total_seconds == fast.total_seconds
-
-    def test_stream_fingerprint_is_keyed_separately(self):
-        program = vector_program()
-        request = ProjectionRequest(program)
-        fast = ProjectionEngine(explorer="fast")
-        reference = ProjectionEngine(explorer="reference")
-        stream = ProjectionEngine(explorer="stream")
-        # fast/reference share keys (interchangeable summaries); stream
-        # summaries have argmin-only tables and must not collide.
-        assert fast.fingerprint(request) == reference.fingerprint(request)
-        assert stream.fingerprint(request) != fast.fingerprint(request)
+        assert fused.summary == reference.summary
+        assert fused.total_seconds == reference.total_seconds
+        assert [k.search_width for k in fused.summary.kernels] == [
+            len(TransformationSpace.default())
+        ] * len(program.kernels)
 
     def test_stream_engine_caches_and_rehits(self):
-        engine = ProjectionEngine(cache=ProjectionCache(), explorer="stream")
+        engine = ProjectionEngine(cache=ProjectionCache())
         first = engine.project(ProjectionRequest(vector_program()))
         again = engine.project(ProjectionRequest(vector_program()))
         assert not first.cached
@@ -210,9 +200,11 @@ class TestStreamExplorer:
     def test_unknown_explorer_rejected(self):
         with pytest.raises(ValueError, match="expected 'fast'"):
             ProjectionEngine(explorer="bogus")
+        with pytest.raises(ValueError, match="unknown explorer 'stream'"):
+            ProjectionEngine(explorer="stream")
 
     def test_close_is_idempotent(self):
-        engine = ProjectionEngine(explorer="stream")
+        engine = ProjectionEngine()
         engine.project(ProjectionRequest(vector_program()))
         engine.close()
         engine.close()
@@ -231,7 +223,7 @@ class TestStreamExplorer:
             vector_program(1 << 16, "vadd"),
             stencil_heavy_program(),
         ]
-        serial = ProjectionEngine(explorer="stream")
+        serial = ProjectionEngine()
         truth = {}
         for program in programs:
             response = serial.project(ProjectionRequest(program))
@@ -240,7 +232,7 @@ class TestStreamExplorer:
                 for kp in response.projection.kernels.kernels
             ]
         for _trial in range(10):
-            engine = ProjectionEngine(explorer="stream")
+            engine = ProjectionEngine(kernel_cache_capacity=0)
             with ThreadPoolExecutor(4) as pool:
                 futures = [
                     pool.submit(

@@ -6,7 +6,7 @@ must be stable across processes, Python versions, and refactors — a
 silent drift would orphan every persisted cache entry and turn warm
 daemons cold after a deploy.  These tests pin the *computed* digests
 for one fixed request (HotSpot, smallest dataset, default arch/bus/
-space) across the three explorer paths.
+space) across both explorer paths.
 
 If a test here fails because you deliberately changed a fingerprint
 input (new skeleton field, arch table recalibration, key-format bump),
@@ -23,21 +23,17 @@ from repro.workloads.registry import get_workload
 
 GOLDEN_REQUEST_KEYS = {
     # fast/reference summaries are interchangeable by design, so they
-    # share one key; stream summaries are argmin-only tables and get
-    # their own.
+    # share one key.
     "reference": (
         "a487f6afef4896107ef5ab0f76207e8843fe2ab12192946cd4a09e1cfebc04d3"
     ),
     "fast": (
         "a487f6afef4896107ef5ab0f76207e8843fe2ab12192946cd4a09e1cfebc04d3"
     ),
-    "stream": (
-        "b3c585af5f908501e47ad6e34e4c2edb9a6b705cf6ff25693ef81fd80d0edaa0"
-    ),
 }
 
-GOLDEN_STREAM_BATCHED_KEY = (
-    "3c8f6e772f07f74c03ac06f11b867e1c2657c87c3167618e4592ae32c3f8fd65"
+GOLDEN_BATCHED_KEY = (
+    "05847d041da59209c5e69b7ea0439938cb2fa21b81c3360efe8b2e13448629aa"
 )
 
 GOLDEN_COMPONENTS = {
@@ -130,21 +126,16 @@ class TestGoldenRequestKeys:
     def test_fast_and_reference_share_a_key(self):
         assert GOLDEN_REQUEST_KEYS["fast"] == GOLDEN_REQUEST_KEYS["reference"]
 
-    def test_stream_key_is_distinct(self):
-        assert (
-            GOLDEN_REQUEST_KEYS["stream"] != GOLDEN_REQUEST_KEYS["fast"]
-        )
-
     def test_batched_transfers_changes_the_key(self):
         program, hints = _fixed_request()
         request = ProjectionRequest(
             program=program, hints=hints, batched_transfers=True
         )
-        assert (
-            _engine("stream").fingerprint(request)
-            == GOLDEN_STREAM_BATCHED_KEY
-        )
-        assert GOLDEN_STREAM_BATCHED_KEY != GOLDEN_REQUEST_KEYS["stream"]
+        for explorer in GOLDEN_REQUEST_KEYS:
+            assert (
+                _engine(explorer).fingerprint(request) == GOLDEN_BATCHED_KEY
+            )
+        assert GOLDEN_BATCHED_KEY != GOLDEN_REQUEST_KEYS["fast"]
 
     def test_keys_are_deterministic_across_engines(self):
         # A fresh engine (new caches, new explorer instance) must
@@ -152,9 +143,9 @@ class TestGoldenRequestKeys:
         # content addressing.
         program, hints = _fixed_request()
         request = ProjectionRequest(program=program, hints=hints)
-        first = _engine("stream").fingerprint(request)
-        second = _engine("stream").fingerprint(request)
-        assert first == second == GOLDEN_REQUEST_KEYS["stream"]
+        first = _engine("fast").fingerprint(request)
+        second = _engine("fast").fingerprint(request)
+        assert first == second == GOLDEN_REQUEST_KEYS["fast"]
 
 
 class TestGoldenComponentFingerprints:

@@ -186,9 +186,9 @@ class TestRunBatch:
             # Deterministically slower than the timeout: the real
             # engine can finish before the main thread even asks for
             # the result, which made a bare 1e-9s timeout flaky.
-            def project(self, request, workers=None):
+            def project(self, request):
                 time.sleep(0.05)
-                return super().project(request, workers)
+                return super().project(request)
 
         requests = write_jsonl(
             tmp_path / "r.jsonl",

@@ -1,7 +1,7 @@
 """Kernel-level cache: LRU semantics and engine integration.
 
 The kernel tier caches *exploration* results under kernel content +
-architecture + space + pruning; the bus stays out of the key, so bus
+architecture + space; the bus stays out of the key, so bus
 what-if studies re-price transfers without re-searching the
 transformation space.
 """
@@ -13,8 +13,16 @@ from repro.gpu.arch import quadro_fx_5600, tesla_c1060
 from repro.pcie.presets import pcie_gen1_bus, pcie_gen2_bus, pcie_gen3_bus
 from repro.service.cache import KernelProjectionCache
 from repro.service.engine import ProjectionEngine, ProjectionRequest
+from repro.skeleton.program import kernel_fingerprint
 from repro.transform.space import TransformationSpace
 from repro.workloads.registry import get_workload
+
+
+def _kernel_key(engine, kernel, array_map, arch, space):
+    """The engine's kernel-cache key for one kernel of a program."""
+    return engine._kernel_digest_key(
+        kernel_fingerprint(kernel, array_map), arch, space
+    )
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +130,8 @@ class TestEngineIntegration:
             tesla_c1060(), pcie_gen1_bus(), space, kernel_cache=shared
         )
         model = engine._model_for(tesla_c1060())
-        key = engine._kernel_key(
-            program.kernels[0], program.array_map, model.arch, space
+        key = _kernel_key(
+            engine, program.kernels[0], program.array_map, model.arch, space
         )
         shared.put(key, exact.kernels.kernels[0])
 
@@ -135,28 +143,14 @@ class TestEngineIntegration:
             == len(program.kernels) - 1
         )
 
-    def test_prune_mode_gets_its_own_entries(self, space, srad_inputs):
-        """Pruning reshapes the candidate tables, so the two modes must
-        not share cache entries."""
-        program, _ = srad_inputs
-        plain = ProjectionEngine(tesla_c1060(), pcie_gen1_bus(), space)
-        pruned = ProjectionEngine(
-            tesla_c1060(), pcie_gen1_bus(), space, prune=True
-        )
-        model = plain._model_for(tesla_c1060())
-        kernel = program.kernels[0]
-        assert plain._kernel_key(
-            kernel, program.array_map, model.arch, space
-        ) != pruned._kernel_key(kernel, program.array_map, model.arch, space)
-
     def test_arch_gets_its_own_entries(self, space, srad_inputs):
         program, _ = srad_inputs
         engine = ProjectionEngine(tesla_c1060(), pcie_gen1_bus(), space)
         kernel = program.kernels[0]
-        assert engine._kernel_key(
-            kernel, program.array_map, tesla_c1060(), space
-        ) != engine._kernel_key(
-            kernel, program.array_map, quadro_fx_5600(), space
+        assert _kernel_key(
+            engine, kernel, program.array_map, tesla_c1060(), space
+        ) != _kernel_key(
+            engine, kernel, program.array_map, quadro_fx_5600(), space
         )
 
     def test_capacity_zero_disables_tier(self, space, srad_inputs):
@@ -211,14 +205,14 @@ class TestEngineIntegration:
         engine = ProjectionEngine(tesla_c1060(), pcie_gen1_bus(), space)
         model = engine._model_for(tesla_c1060())
         keys = [
-            engine._kernel_key(k, program.array_map, model.arch, space)
+            _kernel_key(engine, k, program.array_map, model.arch, space)
             for k in program.kernels
         ]
         import dataclasses
 
         renamed = dataclasses.replace(program, name="renamed-srad")
         renamed_keys = [
-            engine._kernel_key(k, renamed.array_map, model.arch, space)
+            _kernel_key(engine, k, renamed.array_map, model.arch, space)
             for k in renamed.kernels
         ]
         assert keys == renamed_keys

@@ -1,28 +1,16 @@
-"""Parallel exploration must be bit-identical to the serial explorer."""
-
-import multiprocessing
+"""Request-level fan-out must be bit-identical to serial serving."""
 
 import pytest
 
-from repro.gpu.arch import quadro_fx_5600
-from repro.gpu.model import GpuPerformanceModel
-from repro.gpu.vectorized import ScoreArena, columns_from_chars, fused_argmin
+from repro.service.engine import ProjectionEngine, ProjectionRequest
 from repro.service.parallel import (
-    StreamWorkerPool,
-    explore_kernel_parallel,
     map_ordered,
-    project_kernels_parallel,
     shared_pool,
     shutdown_pool,
-    space_chunks,
     submit_shared,
 )
 from repro.skeleton import KernelBuilder, ProgramBuilder
-from repro.transform.analysis import analyze_kernel
-from repro.transform.explorer import explore_kernel, project_program
-from repro.transform.space import MappingConfig, TransformationSpace
-
-fork_available = "fork" in multiprocessing.get_all_start_methods()
+from repro.transform.space import TransformationSpace
 
 
 def stencil_program(n=256):
@@ -65,64 +53,44 @@ class TestMapOrdered:
             map_ordered(boom, [1, 2], 2)
 
 
-class TestSpaceChunks:
-    def test_concatenation_preserves_order(self):
-        configs = tuple(TransformationSpace.default())
-        chunks = space_chunks(configs, 5)
-        assert len(chunks) == 5
-        flat = tuple(c for chunk in chunks for c in chunk)
-        assert flat == configs
+def _requests(program, count=5, space=None):
+    return [
+        ProjectionRequest(program, space=space, iterations=i + 1)
+        for i in range(count)
+    ]
 
-    def test_more_chunks_than_configs(self):
-        configs = (MappingConfig(64), MappingConfig(128))
-        chunks = space_chunks(configs, 10)
-        assert len(chunks) == 2
-        assert all(len(c) == 1 for c in chunks)
 
-    def test_empty_space(self):
-        assert space_chunks((), 4) == []
-
-    def test_rejects_bad_chunk_count(self):
-        with pytest.raises(ValueError):
-            space_chunks((MappingConfig(64),), 0)
+def _served(workers, requests):
+    """Fresh, cache-less engine: every request really explores."""
+    engine = ProjectionEngine(max_workers=workers, kernel_cache_capacity=0)
+    return [r.summary for r in engine.project_batch(requests)]
 
 
 class TestParallelMatchesSerial:
     @pytest.mark.parametrize("workers", [1, 2, 7])
     def test_single_kernel_identical(self, workers):
-        program = stencil_program()
-        model = GpuPerformanceModel(quadro_fx_5600())
-        serial = explore_kernel(program.kernels[0], program, model)
-        parallel = explore_kernel_parallel(
-            program.kernels[0], program, model, max_workers=workers
-        )
-        assert parallel.best == serial.best
-        assert parallel.candidates == serial.candidates
-        assert parallel.skipped == serial.skipped
+        requests = _requests(stencil_program())
+        serial = [
+            ProjectionEngine(kernel_cache_capacity=0).project(r).summary
+            for r in requests
+        ]
+        assert _served(workers, requests) == serial
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_multi_kernel_identical(self, workers):
         program = two_kernel_program()
-        model = GpuPerformanceModel(quadro_fx_5600())
-        serial = project_program(program, model)
-        parallel = project_kernels_parallel(
-            program, model, max_workers=workers
-        )
-        assert parallel == serial
+        requests = _requests(program) + _requests(stencil_program())
+        assert _served(workers, requests) == _served(1, requests)
 
     def test_no_legal_mapping_still_raises(self):
-        # Only an oversized block on offer: every candidate is pruned.
-        program = stencil_program()
-        model = GpuPerformanceModel(quadro_fx_5600())
+        # Only an oversized block on offer: every candidate is illegal.
         space = TransformationSpace(
             block_sizes=(1024,),
             shared_memory_options=(False,),
             unroll_factors=(1,),
         )
         with pytest.raises(ValueError, match="no legal mapping"):
-            explore_kernel_parallel(
-                program.kernels[0], program, model, space, max_workers=4
-            )
+            _served(4, _requests(stencil_program(), space=space))
 
 
 class TestSharedPool:
@@ -163,130 +131,3 @@ class TestSharedPool:
         # equal-or-smaller width must reuse it rather than rebuild.
         pool = shared_pool(4)
         assert shared_pool(4) is pool
-
-
-@pytest.mark.skipif(not fork_available, reason="needs the fork start method")
-class TestStreamWorkerPool:
-    def _columns(self, space=None):
-        program = stencil_program()
-        model = GpuPerformanceModel(quadro_fx_5600())
-        analysis = analyze_kernel(
-            program.kernels[0],
-            program.array_map,
-            model.arch.strict_coalescing,
-        )
-        space = space or TransformationSpace.wide()
-        columns, _index_map, _errors = analysis.config_columns(
-            list(space.configs())
-        )
-        return model, columns
-
-    def test_pool_matches_serial_fused_argmin(self):
-        model, columns = self._columns()
-        serial = fused_argmin(model, columns, ScoreArena())
-        pool = StreamWorkerPool(workers=2)
-        try:
-            # Tiny chunks force multi-chunk merging across workers.
-            assert pool.score_columns(model, columns, chunk_rows=7) == serial
-            # Second pass reuses the attached segment (warm path).
-            assert pool.score_columns(model, columns, chunk_rows=7) == serial
-        finally:
-            pool.close()
-
-    def test_pool_grows_capacity_across_batches(self):
-        model, small = self._columns(TransformationSpace.naive())
-        _, large = self._columns()
-        pool = StreamWorkerPool(workers=2)
-        try:
-            assert pool.score_columns(model, small) == fused_argmin(
-                model, small, ScoreArena()
-            )
-            assert pool.score_columns(model, large, chunk_rows=16) == (
-                fused_argmin(model, large, ScoreArena())
-            )
-        finally:
-            pool.close()
-
-    def test_empty_grid(self):
-        model, _ = self._columns(TransformationSpace.naive())
-        pool = StreamWorkerPool(workers=1)
-        try:
-            empty = columns_from_chars([])
-            assert pool.score_columns(model, empty) == (-1, float("inf"), 0)
-        finally:
-            pool.close()
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            StreamWorkerPool(workers=0)
-
-    def test_close_unlinks_shared_segment(self):
-        import os
-
-        model, columns = self._columns()
-        pool = StreamWorkerPool(workers=1)
-        try:
-            pool.score_columns(model, columns, chunk_rows=16)
-            name = pool._shm.name
-            assert os.path.exists(f"/dev/shm/{name}")
-        finally:
-            pool.close()
-        assert not os.path.exists(f"/dev/shm/{name}")
-        # Idempotent: a second close (e.g. the unregistered atexit hook
-        # firing anyway) must not raise.
-        pool._atexit_release()
-
-    def test_atexit_releases_leaked_segment(self):
-        """A process that exits without close() must not leak /dev/shm.
-
-        Regression: before the atexit hook, killing a warm daemon (or ^C
-        in the CLI) left the column block behind in /dev/shm until
-        reboot.  Run the leak scenario in a subprocess and verify the
-        segment is gone after a clean interpreter exit.
-        """
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        script = """
-import os
-from repro.gpu.arch import quadro_fx_5600
-from repro.gpu.model import GpuPerformanceModel
-from repro.service.parallel import StreamWorkerPool
-from repro.skeleton import KernelBuilder, ProgramBuilder
-from repro.transform.analysis import analyze_kernel
-from repro.transform.space import TransformationSpace
-
-pb = ProgramBuilder("p")
-pb.array("src", (64, 64)).array("dst", (64, 64))
-kb = KernelBuilder("k")
-kb.parallel_loop("i", 63, 1).parallel_loop("j", 63, 1)
-kb.load("src", "i", "j").store("dst", "i", "j")
-kb.statement(flops=1)
-program = pb.kernel(kb).build()
-model = GpuPerformanceModel(quadro_fx_5600())
-analysis = analyze_kernel(
-    program.kernels[0], program.array_map, model.arch.strict_coalescing
-)
-columns, _, _ = analysis.config_columns(
-    list(TransformationSpace.wide().configs())
-)
-pool = StreamWorkerPool(workers=1)
-pool.score_columns(model, columns, chunk_rows=32)
-print(pool._shm.name, flush=True)
-assert os.path.exists(f"/dev/shm/{pool._shm.name}")
-# Exit WITHOUT close(): the atexit hook must unlink the segment.
-"""
-        src = Path(__file__).resolve().parents[2] / "src"
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
-        assert result.returncode == 0, result.stderr
-        name = result.stdout.strip().splitlines()[-1]
-        assert name
-        assert not os.path.exists(f"/dev/shm/{name}")

@@ -46,9 +46,7 @@ def model(training, arch, space):
 
 @pytest.fixture()
 def exact_engine(arch, space):
-    return ProjectionEngine(
-        arch=arch, bus=pcie_gen1_bus(), space=space, explorer="stream"
-    )
+    return ProjectionEngine(arch=arch, bus=pcie_gen1_bus(), space=space)
 
 
 @pytest.fixture()

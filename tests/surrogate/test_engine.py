@@ -75,15 +75,13 @@ class TestConstruction:
             SurrogateEngine(model, exact_engine, mode=mode)
 
     def test_arch_mismatch_fails_fast(self, model, space):
-        other = ProjectionEngine(
-            arch=gtx_280(), space=space, explorer="stream"
-        )
+        other = ProjectionEngine(arch=gtx_280(), space=space)
         with pytest.raises(StaleModelError, match="arch"):
             SurrogateEngine(model, other)
 
     def test_space_mismatch_fails_fast(self, model, arch):
         other = ProjectionEngine(
-            arch=arch, space=TransformationSpace.wide(), explorer="stream"
+            arch=arch, space=TransformationSpace.wide()
         )
         with pytest.raises(StaleModelError, match="space"):
             SurrogateEngine(model, other)
@@ -151,7 +149,7 @@ class TestServing:
             arch=arch,
             bus=surrogate.exact.bus,
             space=space,
-            explorer="stream",
+            explorer="reference",
         )
         expected = direct.project(request)
         assert (
@@ -188,7 +186,7 @@ class TestModes:
 
     def test_provenance_engine_forces_exact_in_auto(self, model, arch, space):
         traced = ProjectionEngine(
-            arch=arch, space=space, explorer="stream", provenance=True
+            arch=arch, space=space, provenance=True
         )
         gated = SurrogateEngine(model, traced)
         response = gated.project(request_for(*SERVED))
@@ -236,7 +234,7 @@ class TestModes:
             arch=arch,
             bus=surrogate.exact.bus,
             space=space,
-            explorer="stream",
+            explorer="reference",
         )
         expected = direct.project(request)
         assert (
@@ -369,8 +367,12 @@ class TestProjectMany:
 
 class TestBatchAdapter:
     def test_adapter_drops_the_workers_argument(self, surrogate):
+        # The engine call shape is ``project(request)``: requests never
+        # fan out internally, so the adapter takes no workers argument.
         adapter = SurrogateBatchAdapter(surrogate)
-        response = adapter.project(request_for(*SERVED), workers=8)
+        with pytest.raises(TypeError):
+            adapter.project(request_for(*SERVED), 8)
+        response = adapter.project(request_for(*SERVED))
         assert response.path == "surrogate"
         assert adapter.metrics is surrogate.metrics
 

@@ -1,10 +1,9 @@
-"""Tile-pruned sweep argmin vs the full-sweep oracle.
+"""Sweep argmin vs the full-sweep oracle.
 
 The contract: :meth:`SweepEngine.argmin` returns exactly the point a
 full sweep's ``min((total_seconds(1), index))`` would pick — identical
-index, dataclass-equal projection, bitwise-equal seconds — for every
-tile size, pruned tiles included.  Pruning is an optimization, never an
-approximation.
+index, dataclass-equal projection, bitwise-equal seconds — for sweeps
+of one point up to a workload's whole dataset axis.
 """
 
 import pytest
@@ -19,9 +18,9 @@ def _engine(bus=None):
     return SweepEngine(quadro_fx_5600(), bus or pcie_gen1_bus())
 
 
-def _oracle(engine, workload):
+def _oracle(engine, workload, datasets=None):
     """(index, projections, totals) of the full sweep."""
-    projections = engine.sweep_workload(workload)
+    projections = engine.sweep_workload(workload, datasets=datasets)
     totals = [p.total_seconds(1) for p in projections]
     index = min(range(len(totals)), key=lambda i: (totals[i], i))
     return index, projections, totals
@@ -31,42 +30,20 @@ class TestArgminOracle:
     @pytest.mark.parametrize(
         "name", [w.name for w in all_workloads()]
     )
-    @pytest.mark.parametrize("tile", [1, 2, 4, 100])
-    def test_matches_full_sweep(self, name, tile):
+    @pytest.mark.parametrize("points", [1, 2, 4, 100])
+    def test_matches_full_sweep(self, name, points):
+        """Argmin over the first ``points`` datasets (all of them when
+        the workload has fewer): single points, sweeps at every anchor,
+        and template-served sweeps."""
         workload = get_workload(name)
+        datasets = list(workload.datasets())[:points]
         engine = _engine(pcie_gen2_bus())
-        expected, projections, totals = _oracle(engine, workload)
-        result = engine.argmin_workload(workload, tile=tile)
+        expected, projections, totals = _oracle(engine, workload, datasets)
+        result = engine.argmin_workload(workload, datasets=datasets)
         assert result.index == expected
         assert result.projection == projections[expected]
         assert result.seconds == totals[expected]  # bitwise
-        assert expected in result.evaluated
-
-    def test_pruning_actually_happens(self):
-        workload = get_workload("CFD")
-        engine = _engine()
-        result = engine.argmin_workload(workload, tile=1)
-        stats = result.stats
-        assert stats["bounded"] == 1
-        assert stats["points_pruned"] > 0
-        assert stats["tiles_pruned"] > 0
-        assert (
-            stats["points_evaluated"] + stats["points_pruned"]
-            == stats["points"]
-        )
-        assert stats["points"] == len(list(workload.datasets()))
-        # The engine-level stats mirror the result's.
-        assert engine.stats == stats
-
-    def test_bounds_are_true_lower_bounds(self):
-        workload = get_workload("HotSpot")
-        engine = _engine()
-        _expected, projections, totals = _oracle(engine, workload)
-        result = engine.argmin_workload(workload, tile=2)
-        assert result.bounds is not None
-        assert len(result.bounds) == len(totals)
-        for bound, total in zip(result.bounds, totals):
-            assert bound <= total
+        assert result.stats["points"] == len(datasets)
 
     def test_explicit_datasets_subset(self):
         workload = get_workload("SRAD")
@@ -75,7 +52,7 @@ class TestArgminOracle:
         full = engine.sweep_workload(workload, datasets=datasets)
         totals = [p.total_seconds(1) for p in full]
         expected = min(range(len(totals)), key=lambda i: (totals[i], i))
-        result = engine.argmin_workload(workload, datasets=datasets, tile=1)
+        result = engine.argmin_workload(workload, datasets=datasets)
         assert result.index == expected
         assert result.projection == full[expected]
 
@@ -84,8 +61,6 @@ class TestArgminOracle:
         with pytest.raises(ValueError, match="at least one"):
             engine.argmin([])
         workload = get_workload("CFD")
-        with pytest.raises(ValueError, match="tile"):
-            engine.argmin_workload(workload, tile=0)
         programs = [
             workload.skeleton(d) for d in list(workload.datasets())[:2]
         ]

@@ -2,7 +2,7 @@
 
 The contract under test (``docs/SWEEP.md``): projections served through
 the shared-structure fast path are *dataclass-equal* to projecting each
-point individually — full candidate tables included — and every
+point individually — ranking heads and search counts included — and every
 certificate failure falls back to the exact pipeline rather than
 approximating.
 """
@@ -27,21 +27,20 @@ def space():
 def _pair(space, **kwargs):
     """A sweep engine and its per-point oracle, identically configured."""
     batched = kwargs.pop("batched_transfers", False)
-    prune = kwargs.pop("prune", False)
+    if kwargs.pop("wide", False):
+        space = TransformationSpace.wide()
     assert not kwargs
     sweep = SweepEngine(
         quadro_fx_5600(),
         pcie_gen1_bus(),
         space,
         batched_transfers=batched,
-        prune=prune,
     )
     point = GrophecyPlusPlus(
         quadro_fx_5600(),
         pcie_gen1_bus(),
         space,
         batched_transfers=batched,
-        prune=prune,
     )
     return sweep, point
 
@@ -62,8 +61,11 @@ class TestWorkloadEquivalence:
 
     @pytest.mark.parametrize(
         "variant",
-        [{"prune": True}, {"batched_transfers": True}],
-        ids=["prune", "batched"],
+        [
+            {"wide": True},
+            {"batched_transfers": True},
+        ],
+        ids=["wide", "batched"],
     )
     def test_variants_equal_per_point(self, space, variant):
         workload = Cfd()

@@ -1,4 +1,4 @@
-"""Tests for the per-kernel analysis precompute (the fast path's core).
+"""Tests for the per-kernel analysis precompute (the fused path's core).
 
 ``KernelAnalysis`` walks the skeleton once; ``characteristics(config)``
 must then reproduce ``synthesize_characteristics`` exactly — same
@@ -102,23 +102,39 @@ class TestProfileCaching:
         )
 
 
+def _column_rows(analysis, configs, iterations):
+    """``config_columns`` at ``iterations`` as {config index: fields}."""
+    columns, index_map, errors = analysis.config_columns(
+        configs, iterations
+    )
+    rows = {
+        int(index): {field: col[r].item() for field, col in columns.items()}
+        for r, index in enumerate(index_map)
+    }
+    return rows, errors
+
+
+def _fields(chars, names):
+    return {name: getattr(chars, name) for name in names}
+
+
 class TestCharacteristicsGrid:
-    """The batched configs x points grid must equal cell-by-cell calls."""
+    """The batched columns at an injected work-item count (the sweep
+    engine's grid) must equal cell-by-cell ``characteristics_at``."""
 
     ITERATIONS = (1_000, 65_025, 65_536, 250_000)
 
     def test_grid_matches_characteristics_at(self):
         analysis = analyze_kernel(stencil_kernel(), arrays())
         configs = list(TransformationSpace.default())
-        grids, errors = analysis.characteristics_grid(
-            configs, list(self.ITERATIONS)
-        )
-        assert not errors
-        assert len(grids) == len(self.ITERATIONS)
-        for row, iterations in zip(grids, self.ITERATIONS):
-            for cell, config in zip(row, configs):
-                assert cell == analysis.characteristics_at(
-                    config, iterations
+        for iterations in self.ITERATIONS:
+            rows, errors = _column_rows(analysis, configs, iterations)
+            assert not errors
+            assert len(rows) == len(configs)
+            for index, config in enumerate(configs):
+                cell = rows[index]
+                assert cell == _fields(
+                    analysis.characteristics_at(config, iterations), cell
                 ), (config.label(), iterations)
 
     def test_grid_matches_on_registered_kernels(self):
@@ -128,32 +144,32 @@ class TestCharacteristicsGrid:
             program = workload.skeleton(dataset)
             for kernel in program.kernels:
                 analysis = analyze_kernel(kernel, program.array_map, True)
-                counts = [kernel.parallel_iterations, 123_457]
-                grids, errors = analysis.characteristics_grid(
-                    configs, counts
-                )
-                for row, iterations in zip(grids, counts):
+                for iterations in (kernel.parallel_iterations, 123_457):
+                    rows, errors = _column_rows(
+                        analysis, configs, iterations
+                    )
                     for index, config in enumerate(configs):
                         if index in errors:
-                            assert row[index] is None
+                            assert index not in rows
                             with pytest.raises(ValueError):
                                 analysis.characteristics_at(
                                     config, iterations
                                 )
                         else:
-                            assert row[index] == analysis.characteristics_at(
-                                config, iterations
+                            cell = rows[index]
+                            assert cell == _fields(
+                                analysis.characteristics_at(
+                                    config, iterations
+                                ),
+                                cell,
                             ), (workload.name, kernel.name)
 
     def test_synthesis_errors_reported_once_per_config(self):
         """Failing configs surface by position with the same message the
         per-cell path raises."""
         analysis = analyze_kernel(stencil_kernel(), arrays())
-        # The wide space includes shared-memory tilings that can exceed
-        # the block's smem budget; fall back to a hand-built rejection
-        # if the default space has none.
         configs = list(TransformationSpace.default())
-        _, errors = analysis.characteristics_grid(configs, [1_000])
+        _, errors = _column_rows(analysis, configs, 1_000)
         for index, message in errors.items():
             with pytest.raises(ValueError) as err:
                 analysis.characteristics_at(configs[index], 1_000)

@@ -95,8 +95,8 @@ class TestExploreKernel:
         proj = explore_kernel(
             self.program.kernels[0], self.program, self.model, space
         )
-        assert len(proj.skipped) == 1
-        assert "768" in proj.skipped[0][1]
+        assert (proj.explored, proj.skipped) == (1, 1)
+        assert proj.best.config.block_size == 256
 
     def test_all_illegal_raises(self):
         space = TransformationSpace(

@@ -7,7 +7,7 @@ from repro.gpu import (
     quadro_fx_5600,
     tesla_c1060,
 )
-from repro.transform.explorer import explore_kernel
+from repro.transform.explorer import TOP_K, explore_kernel
 from repro.transform.space import TransformationSpace
 from repro.workloads import HotSpot
 
@@ -23,14 +23,17 @@ def projection():
 class TestSearchTable:
     def test_full_table(self, projection):
         table = projection.as_table()
-        assert len(table.rows) == projection.search_width
+        # The kept head, plus one row counting the skipped mappings.
+        assert projection.skipped > 0
+        assert len(table.rows) == len(projection.candidates) + 1
         text = table.render()
         assert "<- best" in text
         assert "transformation search" in text
+        assert f"({projection.search_width} mappings)" in text
 
     def test_fastest_first(self, projection):
         table = projection.as_table(top=5)
-        assert len(table.rows) == 5
+        assert len(table.rows) == len(projection.candidates) == TOP_K
         times = [float(r[1]) for r in table.rows]
         assert times == sorted(times)
         assert "<- best" in table.rows[0][0]

@@ -2,10 +2,11 @@
 
 Hypothesis builds random-but-valid kernel skeletons (loop nests, access
 patterns, branch weights, amortized statements, indirect accesses) and
-checks that the fast path reproduces the reference path exactly — same
-candidates with bitwise-equal times, same skipped configs with the same
-reasons — across architectures and spaces, and that bound-based pruning
-never loses the argmin.
+checks that the fused explorer returns the very ``KernelProjection`` the
+scalar reference does — the same top-ranked candidates (config,
+characteristics and breakdown, so every float matches bit for bit), the
+same explored/skipped counts, and the same ``no legal mapping`` text —
+on every registry architecture and in both the default and wide spaces.
 """
 
 import pytest
@@ -14,22 +15,26 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.gpu.arch import gtx_280, quadro_fx_5600, tesla_c1060  # noqa: E402
 from repro.gpu.model import GpuPerformanceModel  # noqa: E402
+from repro.gpu.registry import arch_ids, get_arch  # noqa: E402
+from repro.gpu.vectorized import ScoreArena, fused_argmin  # noqa: E402
 from repro.skeleton import (  # noqa: E402
     ArrayKind,
     DType,
     KernelBuilder,
     ProgramBuilder,
 )
-from repro.transform.explorer import explore_configs  # noqa: E402
-from repro.transform.fastpath import explore_configs_fast  # noqa: E402
+from repro.transform.analysis import analyze_kernel  # noqa: E402
+from repro.transform.explorer import (  # noqa: E402
+    TOP_K,
+    explore_configs,
+    explore_kernel,
+)
 from repro.transform.space import TransformationSpace  # noqa: E402
-from repro.transform.stream import explore_kernel_stream  # noqa: E402
 
 N = 257  # odd grid edge: exercises ceil-division paths
 
-ARCHES = [quadro_fx_5600, tesla_c1060, gtx_280]
+ARCHES = list(arch_ids())
 SHIFTS = [None, ("", 1, -1), ("", 1, 1)]  # None = plain var
 
 
@@ -97,106 +102,67 @@ def programs(draw):
     return pb.build()
 
 
-def spaces():
-    return st.sampled_from(
-        [TransformationSpace.default(), TransformationSpace.wide()]
-    )
+SPACES = (TransformationSpace.default(), TransformationSpace.wide())
+
+
+def _explore(program, model, space, explorer):
+    """The projection, or the error text when no mapping is legal."""
+    try:
+        return explore_kernel(
+            program.kernels[0], program, model, space, explorer=explorer
+        )
+    except ValueError as exc:
+        return str(exc)
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    program=programs(),
-    arch_fn=st.sampled_from(ARCHES),
-    space=spaces(),
-)
-def test_fast_path_equals_reference(program, arch_fn, space):
-    model = GpuPerformanceModel(arch_fn())
-    kernel = program.kernels[0]
-    ref_cands, ref_skipped = explore_configs(
-        kernel, program, model, space.configs()
-    )
-    fast_cands, fast_skipped, fast_pruned = explore_configs_fast(
-        kernel, program, model, space.configs()
-    )
-    assert fast_pruned == []
-    assert fast_skipped == ref_skipped  # same configs, same reasons
-    assert len(fast_cands) == len(ref_cands)
-    for fast, ref in zip(fast_cands, ref_cands):
-        assert fast.config == ref.config
-        assert fast.characteristics == ref.characteristics
-        assert fast.breakdown == ref.breakdown  # bitwise: dataclass eq
-    if ref_cands:
-        ref_best = min(ref_cands, key=lambda c: c.seconds)
-        fast_best = min(fast_cands, key=lambda c: c.seconds)
-        assert fast_best.config == ref_best.config
-        assert fast_best.seconds == ref_best.seconds
+@given(program=programs())
+def test_fast_path_equals_reference(program):
+    """Every drawn kernel runs on every registry arch, in both spaces."""
+    for arch_id in ARCHES:
+        model = GpuPerformanceModel(get_arch(arch_id))
+        for space in SPACES:
+            fast = _explore(program, model, space, "fast")
+            ref = _explore(program, model, space, "reference")
+            # Whole KernelProjection (dataclass eq), or the error text.
+            assert fast == ref, (arch_id, space)
+            if isinstance(ref, str):
+                assert "no legal mapping" in ref
+                continue
+            assert ref.search_width == len(space)
+            assert len(ref.candidates) == min(TOP_K, ref.explored)
+            assert ref.best == ref.candidates[0]
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     program=programs(),
-    arch_fn=st.sampled_from(ARCHES),
-    space=spaces(),
+    arch_id=st.sampled_from(ARCHES),
+    space=st.sampled_from(SPACES),
 )
-def test_pruning_never_loses_the_argmin(program, arch_fn, space):
-    model = GpuPerformanceModel(arch_fn())
-    kernel = program.kernels[0]
-    ref_cands, ref_skipped = explore_configs(
-        kernel, program, model, space.configs()
-    )
-    cands, skipped, pruned = explore_configs_fast(
-        kernel, program, model, space.configs(), prune=True
-    )
-    assert skipped == ref_skipped
-    # Pruning only moves losing candidates; the partition is exact.
-    assert len(cands) + len(pruned) == len(ref_cands)
-    if ref_cands:
-        ref_best = min(ref_cands, key=lambda c: c.seconds)
-        best = min(cands, key=lambda c: c.seconds)
-        assert best.config == ref_best.config
-        assert best.seconds == ref_best.seconds
-    ref_by_config = {c.config: c for c in ref_cands}
-    for candidate in cands:
-        ref = ref_by_config[candidate.config]
-        assert candidate.breakdown == ref.breakdown
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    program=programs(),
-    arch_fn=st.sampled_from(ARCHES),
-    space=spaces(),
-)
-def test_stream_path_equals_reference(program, arch_fn, space):
-    """The fused streaming argmin picks the reference winner, bitwise.
-
-    Same first-minimum tie-break as the scalar ``min()``, same explored/
-    skipped accounting, identical best candidate (config +
-    characteristics + breakdown, dataclass-equal so every float matches
-    bit for bit).  A kernel with no legal mapping must fail with the
-    exact reference error text.
-    """
-    model = GpuPerformanceModel(arch_fn())
+def test_stream_path_equals_reference(program, arch_id, space):
+    """The argmin-only scorer (``fused_argmin`` over ``config_columns``,
+    what the surrogate's training labels come from) picks the reference
+    winner: same first-minimum row, bitwise-equal seconds, same legal
+    count."""
+    model = GpuPerformanceModel(get_arch(arch_id))
     kernel = program.kernels[0]
     configs = space.configs()
     ref_cands, ref_skipped = explore_configs(kernel, program, model, configs)
-    # Exercise the chunk merge too: a chunk size that never divides the
-    # grid evenly forces multi-chunk streaming with a partial tail.
-    for chunk_rows in (len(configs) + 1, 7):
-        if not ref_cands:
-            with pytest.raises(ValueError, match="no legal mapping"):
-                explore_kernel_stream(
-                    kernel, program, model, space, chunk_rows=chunk_rows
-                )
-            continue
-        result = explore_kernel_stream(
-            kernel, program, model, space, chunk_rows=chunk_rows
+    try:
+        analysis = analyze_kernel(
+            kernel, program.array_map, model.arch.strict_coalescing
         )
-        ref_best = min(ref_cands, key=lambda c: c.seconds)
-        assert result.best.config == ref_best.config
-        assert result.best.characteristics == ref_best.characteristics
-        assert result.best.breakdown == ref_best.breakdown
-        assert result.seconds == ref_best.seconds
-        assert result.index == configs.index(ref_best.config)
-        assert result.explored == len(ref_cands)
-        assert result.skipped == len(ref_skipped)
+    except ValueError:
+        assert not ref_cands
+        return
+    columns, index_map, _errors = analysis.config_columns(configs)
+    row, seconds, legal = fused_argmin(model, columns, ScoreArena())
+    assert legal == len(ref_cands)
+    assert len(configs) - legal == len(ref_skipped)
+    if not ref_cands:
+        assert row == -1
+        return
+    ref_best = min(ref_cands, key=lambda c: c.seconds)
+    assert configs[int(index_map[row])] == ref_best.config
+    assert seconds == ref_best.seconds

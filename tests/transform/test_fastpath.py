@@ -1,18 +1,12 @@
-"""Tests for the fast exploration path and its explorer wiring."""
+"""Tests for the fused exploration path and its explorer wiring."""
 
 import pytest
 
 from repro.gpu.arch import quadro_fx_5600, tesla_c1060
 from repro.gpu.model import GpuPerformanceModel
 from repro.skeleton import KernelBuilder, ProgramBuilder
-from repro.transform.analysis import analyze_kernel
-from repro.transform.explorer import explore_configs, explore_kernel
-from repro.transform.fastpath import (
-    explore_configs_fast,
-    explore_kernel_fast,
-)
+from repro.transform.explorer import TOP_K, explore_configs, explore_kernel
 from repro.transform.space import TransformationSpace
-from repro.workloads import HotSpot
 
 
 def stencil_program(n=512):
@@ -30,18 +24,6 @@ def stencil_program(n=512):
     return pb.kernel(kb).build()
 
 
-def assert_projections_equal(fast, ref):
-    assert fast.kernel == ref.kernel
-    assert fast.best.config == ref.best.config
-    assert fast.best.seconds == ref.best.seconds
-    assert len(fast.candidates) == len(ref.candidates)
-    for fc, rc in zip(fast.candidates, ref.candidates):
-        assert fc.config == rc.config
-        assert fc.characteristics == rc.characteristics
-        assert fc.breakdown == rc.breakdown
-    assert fast.skipped == ref.skipped
-
-
 class TestFastPathEquivalence:
     @pytest.mark.parametrize("arch_fn", [quadro_fx_5600, tesla_c1060])
     @pytest.mark.parametrize(
@@ -57,56 +39,14 @@ class TestFastPathEquivalence:
         ref = explore_kernel(
             kernel, program, model, space, explorer="reference"
         )
-        assert_projections_equal(fast, ref)
-        assert fast.pruned == ()
-        assert ref.pruned == ()
-
-    def test_shared_analysis_matches_per_chunk(self):
-        """The service path precomputes once and scores chunks."""
-        program = stencil_program()
-        model = GpuPerformanceModel(quadro_fx_5600())
-        kernel = program.kernels[0]
-        configs = list(TransformationSpace.wide())
-        analysis = analyze_kernel(
-            kernel, program.array_map, model.arch.strict_coalescing
+        assert fast == ref
+        # The kept head is the reference table's stable-sorted prefix.
+        table, skipped = explore_configs(
+            kernel, program, model, space.configs()
         )
-        whole = explore_configs_fast(kernel, program, model, configs)
-        half = len(configs) // 2
-        first = explore_configs_fast(
-            kernel, program, model, configs[:half], analysis=analysis
-        )
-        second = explore_configs_fast(
-            kernel, program, model, configs[half:], analysis=analysis
-        )
-        assert whole[0] == first[0] + second[0]
-        assert whole[1] == first[1] + second[1]
-
-
-class TestPruning:
-    def test_prune_preserves_best_and_partitions_grid(self):
-        w = HotSpot()
-        program = w.skeleton(w.dataset("512 x 512"))
-        model = GpuPerformanceModel(quadro_fx_5600())
-        kernel = program.kernels[0]
-        space = TransformationSpace.wide()
-        plain = explore_kernel_fast(kernel, program, model, space)
-        pruned = explore_kernel_fast(
-            kernel, program, model, space, prune=True
-        )
-        assert pruned.best.config == plain.best.config
-        assert pruned.best.seconds == plain.best.seconds
-        assert pruned.skipped == plain.skipped
-        # Pruned rows are bookkept: the search width stays honest.
-        assert len(pruned.candidates) + len(pruned.pruned) == len(
-            plain.candidates
-        )
-        assert pruned.search_width == plain.search_width == len(
-            list(space)
-        )
-        surviving = {c.config for c in pruned.candidates}
-        for config, reason in pruned.pruned:
-            assert config not in surviving
-            assert "lower bound" in reason
+        ranked = sorted(table, key=lambda c: c.seconds)
+        assert fast.candidates == tuple(ranked[:TOP_K])
+        assert (fast.explored, fast.skipped) == (len(table), len(skipped))
 
 
 class TestExplorerSelection:

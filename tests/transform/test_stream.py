@@ -1,12 +1,14 @@
-"""Tests for the fused streaming explorer.
+"""Tests for the fused scoring pass behind ``explorer="fast"``.
 
-The streaming path promises the *identical* answer the reference
-explorer gives — same best mapping, bitwise-equal seconds, same
-tie-breaking, same ``no legal mapping`` failure text — while building
-no per-candidate objects.  The property test below pins that against
-random skeletons across architectures and spaces; the rest covers the
-chunking merge, cache warm-up, and the degenerate spaces (empty,
-single-candidate, all-illegal, synthesis failure).
+The fused explorer (it grew out of the former argmin-only "stream"
+path, whose test names this module keeps) promises the *identical*
+projection the reference explorer gives — same ranking head, bitwise-
+equal seconds, same tie-breaking, same counts, same ``no legal
+mapping`` failure text — while materializing only the head.  This
+module covers the three calibrated presets, arena reuse, and the
+degenerate spaces (empty, single-candidate, all-illegal, synthesis
+failure); the property test in ``test_fast_reference_property.py``
+covers random skeletons.
 """
 
 import pytest
@@ -14,13 +16,8 @@ import pytest
 from repro.gpu.arch import gtx_280, quadro_fx_5600, tesla_c1060
 from repro.gpu.model import GpuPerformanceModel
 from repro.skeleton import DType, KernelBuilder, ProgramBuilder
-from repro.transform.explorer import explore_kernel
+from repro.transform.explorer import explore_kernel, project_program
 from repro.transform.space import TransformationSpace
-from repro.transform.stream import (
-    DEFAULT_CHUNK_ROWS,
-    StreamingExplorer,
-    explore_kernel_stream,
-)
 
 N = 257
 
@@ -67,24 +64,23 @@ class TestEquivalence:
         reference = explore_kernel(
             kernel, program, model, space, explorer="reference"
         )
-        result = explore_kernel_stream(kernel, program, model, space)
-        assert result.best.config == reference.best.config
-        assert result.best.characteristics == reference.best.characteristics
-        assert result.best.breakdown == reference.best.breakdown
+        result = explore_kernel(kernel, program, model, space)
+        assert result == reference
         assert result.seconds == reference.seconds  # bitwise
-        assert result.explored == len(reference.candidates)
-        assert result.skipped == len(reference.skipped)
-        assert result.search_width == reference.search_width
+        assert result.search_width == len(space)
 
     def test_explorer_routing(self):
         program = stencil_program()
         kernel = program.kernels[0]
         model = GpuPerformanceModel(quadro_fx_5600())
         fast = explore_kernel(kernel, program, model, explorer="fast")
-        stream = explore_kernel(kernel, program, model, explorer="stream")
-        assert stream.best == fast.best
-        assert stream.candidates == (stream.best,)  # argmin-only table
-        assert stream.skipped == ()
+        default = explore_kernel(kernel, program, model)
+        assert default == fast
+        assert fast == explore_kernel(
+            kernel, program, model, explorer="reference"
+        )
+        with pytest.raises(ValueError, match="unknown explorer 'stream'"):
+            explore_kernel(kernel, program, model, explorer="stream")
 
     def test_unknown_explorer_rejected(self):
         program = stencil_program()
@@ -96,56 +92,47 @@ class TestEquivalence:
                 explorer="warp-drive",
             )
 
-    def test_chunked_equals_unchunked(self):
+    def test_warm_reuse_is_identical(self):
+        """The thread's scratch arena is reused across searches; a
+        second search (and one on another kernel in between) must not
+        see the first one's buffers."""
         program = stencil_program()
         kernel = program.kernels[0]
         model = GpuPerformanceModel(quadro_fx_5600())
-        space = TransformationSpace.wide()
-        whole = StreamingExplorer(model, chunk_rows=DEFAULT_CHUNK_ROWS)
-        tiny = StreamingExplorer(model, chunk_rows=3)
-        a = whole.explore_kernel(kernel, program, space)
-        b = tiny.explore_kernel(kernel, program, space)
-        assert a.best == b.best
-        assert a.index == b.index
-        assert a.seconds == b.seconds
-        assert b.chunks > a.chunks
-
-    def test_warm_reuse_is_identical(self):
-        program = stencil_program()
-        kernel = program.kernels[0]
-        explorer = StreamingExplorer(GpuPerformanceModel(quadro_fx_5600()))
-        cold = explorer.explore_kernel(kernel, program)
-        warm = explorer.explore_kernel(kernel, program)
+        cold = explore_kernel(kernel, program, model)
+        other = stencil_program("q")
+        explore_kernel(
+            other.kernels[0], other, model, TransformationSpace.wide()
+        )
+        warm = explore_kernel(kernel, program, model)
         assert warm == cold
 
     def test_project_program_sums_kernels(self):
         program = stencil_program()
-        explorer = StreamingExplorer(GpuPerformanceModel(quadro_fx_5600()))
-        result = explorer.project_program(program)
+        model = GpuPerformanceModel(quadro_fx_5600())
+        result = project_program(program, model)
         assert result.program == program.name
         assert result.seconds == sum(k.seconds for k in result.kernels)
         assert [k.kernel for k in result.kernels] == [
             k.name for k in program.kernels
         ]
+        assert result == project_program(
+            program, model, explorer="reference"
+        )
 
 
 class TestDegenerateSpaces:
     def test_empty_space_raises_tried_zero(self):
         # TransformationSpace refuses to be empty, so fake the minimal
-        # space surface the explorer reads (configs + fingerprint).
+        # space surface the explorer reads.
         class EmptySpace:
             def configs(self):
                 return ()
 
-            def fingerprint(self):
-                return "empty"
-
         program = stencil_program()
         model = GpuPerformanceModel(quadro_fx_5600())
         with pytest.raises(ValueError, match=r"tried 0"):
-            explore_kernel_stream(
-                program.kernels[0], program, model, EmptySpace()
-            )
+            explore_kernel(program.kernels[0], program, model, EmptySpace())
 
     def test_single_candidate_space(self):
         program = stencil_program()
@@ -155,11 +142,10 @@ class TestDegenerateSpaces:
         reference = explore_kernel(
             kernel, program, model, space, explorer="reference"
         )
-        result = explore_kernel_stream(kernel, program, model, space)
-        assert result.best == reference.best
-        assert result.index == 0
-        assert result.explored == 1
-        assert result.chunks == 1
+        result = explore_kernel(kernel, program, model, space)
+        assert result == reference
+        assert result.candidates == (result.best,)
+        assert (result.explored, result.skipped) == (1, 0)
 
     def test_all_illegal_matches_reference_error(self):
         program = serial_only_program()
@@ -167,23 +153,6 @@ class TestDegenerateSpaces:
         model = GpuPerformanceModel(quadro_fx_5600())
         with pytest.raises(ValueError) as reference:
             explore_kernel(kernel, program, model, explorer="reference")
-        with pytest.raises(ValueError) as streamed:
-            explore_kernel_stream(kernel, program, model)
-        assert str(streamed.value) == str(reference.value)
-
-    def test_bad_chunk_rows_rejected(self):
-        model = GpuPerformanceModel(quadro_fx_5600())
-        with pytest.raises(ValueError, match="chunk_rows"):
-            StreamingExplorer(model, chunk_rows=0)
-
-
-class TestStreamResult:
-    def test_projection_carries_only_the_winner(self):
-        program = stencil_program()
-        model = GpuPerformanceModel(quadro_fx_5600())
-        result = explore_kernel_stream(program.kernels[0], program, model)
-        projection = result.projection()
-        assert projection.best == result.best
-        assert projection.candidates == (result.best,)
-        assert projection.skipped == ()
-        assert projection.seconds == result.seconds
+        with pytest.raises(ValueError) as fused:
+            explore_kernel(kernel, program, model)
+        assert str(fused.value) == str(reference.value)
