@@ -131,9 +131,10 @@ def test_obs_v2_disabled_overhead_under_2_percent(
       every other thread pays the thread-local lookup on top of the
       global reads.  Measure that worst-case per-call cost under a live
       scope held by another thread.
-    - event log: a daemon job emits a handful of lifecycle events
-      (submit/dequeue/start/complete plus surrogate and audit verdicts)
-      to a disk-backed JSONL log; bound the whole per-job event cost.
+    - event log: a daemon job emits a handful of events (the queue's
+      submit/start/complete lifecycle rows plus surrogate and audit
+      verdicts) to a disk-backed JSONL log; bound the whole per-job
+      event cost.
     """
     import threading
 

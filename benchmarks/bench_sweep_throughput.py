@@ -90,7 +90,7 @@ def test_sweep_is_at_least_5x_faster():
 
     # Identical results first — speed means nothing if the engine drifts.
     assert run_sweep() == run_points()
-    assert sweep.stats["kernels_shared"] == 1
+    assert sweep.stats["groups_shared"] == 1
     assert sweep.stats["plans_from_template"] == _POINTS - 3
 
     def measure(run, rounds):

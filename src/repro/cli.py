@@ -1002,11 +1002,12 @@ def _cmd_sweep(args, out) -> int:
                 f"  ->  {speedup:.2f}x"
             )
         stats = engine.stats
+        shared = stats["groups_shared"]
         out(
             f"  served: kernel structure "
-            f"{'shared across the sweep' if stats['kernels_shared'] else 'computed per point'}, "
+            f"{'shared across the sweep' if shared else 'computed per point'}, "
             f"{stats['plans_from_template']} plan(s) from template, "
-            f"{stats['plans_exact']} exact"
+            f"{stats['points'] - stats['plans_from_template']} exact"
         )
         return 0
 

@@ -1,9 +1,18 @@
-"""The projector classes: GROPHECY and GROPHECY++."""
+"""The projector classes: GROPHECY and GROPHECY++, and the one
+projection pipeline every serving path shares.
+
+:func:`plan_transfers` (what crosses the bus) and :func:`integrate`
+(price each transfer, assemble the :class:`Projection`) are the only
+places a transfer plan is analyzed and a projection is built;
+:class:`GrophecyPlusPlus`, the service engine, the sweep engine and the
+surrogate's plan preparation all call them.
+"""
 
 from __future__ import annotations
 
 from repro.datausage.analyzer import analyze_transfers
 from repro.datausage.hints import AnalysisHints
+from repro.datausage.transfers import TransferPlan
 from repro.obs.trace import span as trace_span
 from repro.gpu.arch import GPUArchitecture
 from repro.gpu.model import GpuPerformanceModel
@@ -95,30 +104,47 @@ class GrophecyPlusPlus(Grophecy):
         """Full projection: kernels + data usage + transfer times."""
         with trace_span("project", program=program.name):
             kernels = self.project_kernels(program)
-            with trace_span(
-                "transfer-planning", program=program.name
-            ) as planning:
-                plan = analyze_transfers(program, hints)
-                if self._batched:
-                    plan = plan.batched()
-                planning.set(
-                    transfers=len(plan.transfers), bytes=plan.total_bytes
-                )
-            with trace_span("integrate", program=program.name):
-                per_transfer = tuple(
-                    self._bus.predict_plan_by_transfer(plan)
-                )
-                setup = (
-                    self._allocation.plan_setup_time(plan, self._memory)
-                    if self._allocation is not None
-                    else 0.0
-                )
-                return Projection(
-                    program=program.name,
-                    kernel_seconds=kernels.seconds,
-                    transfer_seconds=sum(per_transfer),
-                    plan=plan,
-                    per_transfer_seconds=per_transfer,
-                    kernels=kernels,
-                    setup_seconds=setup,
-                )
+            plan = plan_transfers(program, hints, self._batched)
+            setup = (
+                self._allocation.plan_setup_time(plan, self._memory)
+                if self._allocation is not None
+                else 0.0
+            )
+            return integrate(program.name, kernels, plan, self._bus, setup)
+
+
+def plan_transfers(
+    program: ProgramSkeleton,
+    hints: AnalysisHints | None,
+    batched: bool,
+) -> TransferPlan:
+    """What must cross the bus: the data usage analyzer's plan, merged
+    into one transfer per direction when ``batched``."""
+    with trace_span("transfer-planning", program=program.name) as planning:
+        plan = analyze_transfers(program, hints)
+        if batched:
+            plan = plan.batched()
+        planning.set(transfers=plan.transfer_count, bytes=plan.total_bytes)
+    return plan
+
+
+def integrate(
+    program_name: str,
+    kernels: ProgramProjection,
+    plan: TransferPlan,
+    bus: BusModel,
+    setup_seconds: float = 0.0,
+) -> Projection:
+    """The paper's integration step: price every transfer of ``plan`` on
+    ``bus`` and assemble the projection (kernel + transfer + setup)."""
+    with trace_span("integrate", program=program_name):
+        per_transfer = tuple(bus.predict_plan_by_transfer(plan))
+        return Projection(
+            program=program_name,
+            kernel_seconds=kernels.seconds,
+            transfer_seconds=sum(per_transfer),
+            plan=plan,
+            per_transfer_seconds=per_transfer,
+            kernels=kernels,
+            setup_seconds=setup_seconds,
+        )

@@ -7,6 +7,12 @@ that were ``running`` when the process died (crash, SIGKILL) replay
 back to ``queued`` with their ``interruptions`` counter bumped — the
 scheduler then resumes them (sweeps from their checkpoint).
 
+Given an :class:`~repro.obs.events.EventLog`, the queue is also the one
+emitter of job lifecycle events: every journal append emits its event
+(``submit``, ``start``, ``requeue``, ``complete``/``fail``/``cancel``)
+under the queue lock, so the event log lists each job's transitions in
+journal order.
+
 Result documents live next to the journal in
 ``<state_dir>/results/<job_id>.json`` and are written *before* the
 ``finish`` journal event, so a ``done`` journal entry always has a
@@ -37,6 +43,7 @@ from repro.daemon.protocol import (
     RUNNING,
     Job,
 )
+from repro.obs.events import EventLog
 
 JOURNAL_NAME = "journal.jsonl"
 RESULTS_DIR = "results"
@@ -50,7 +57,9 @@ class JobQueue:
         state_dir: str | Path,
         max_running_per_client: int = 2,
         clock: Callable[[], float] = time.time,
+        events: EventLog | None = None,
     ) -> None:
+        """``events`` receives one lifecycle event per journal line."""
         if max_running_per_client < 1:
             raise ValueError(
                 f"max_running_per_client must be >= 1, got "
@@ -62,6 +71,7 @@ class JobQueue:
         self._journal_path = self._state_dir / JOURNAL_NAME
         self._max_per_client = max_running_per_client
         self._clock = clock
+        self._events = events
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._jobs: dict[str, Job] = {}
@@ -81,8 +91,13 @@ class JobQueue:
         return self._recovered
 
     # Journal -------------------------------------------------------------
-    def _append(self, event: str, **fields: Any) -> None:
-        """Append one journal line (caller holds the lock)."""
+    def _append(self, event: str, job: Job, **fields: Any) -> None:
+        """Journal one transition of ``job``, then emit its lifecycle
+        event (caller holds the lock).
+
+        A ``submit`` line carries the whole job record; every other
+        line names the job by id.
+        """
         self._seq += 1
         record = {
             "format": PROTOCOL_VERSION,
@@ -91,10 +106,23 @@ class JobQueue:
             "at": self._clock(),
             **fields,
         }
+        if event == "submit":
+            record["job"] = job.to_dict()
+        else:
+            record["job_id"] = job.job_id
         with open(self._journal_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
+        if self._events is not None:
+            kind, attrs = _lifecycle_event(event, job, fields)
+            self._events.emit(
+                kind,
+                job_id=job.job_id,
+                trace_id=job.trace_id,
+                client=job.client,
+                **attrs,
+            )
 
     def _replay(self) -> tuple[str, ...]:
         """Rebuild state from the journal; requeue interrupted jobs.
@@ -149,7 +177,7 @@ class JobQueue:
                 job.interruptions += 1
                 self._append(
                     "requeue",
-                    job_id=job.job_id,
+                    job,
                     interruptions=job.interruptions,
                     reason="recovered",
                 )
@@ -168,7 +196,7 @@ class JobQueue:
             job.submitted = self._clock()
             self._jobs[job.job_id] = job
             self._order.append(job.job_id)
-            self._append("submit", job=job.to_dict())
+            self._append("submit", job)
             self._not_empty.notify()
         return job
 
@@ -208,7 +236,7 @@ class JobQueue:
                     job.state = RUNNING
                     job.started = self._clock()
                     job.cancel_event = threading.Event()
-                    self._append("start", job_id=job.job_id)
+                    self._append("start", job)
                     return job
                 if deadline is None:
                     self._not_empty.wait()
@@ -244,15 +272,17 @@ class JobQueue:
                 job.state = FAILED if error is not None else DONE
             job.finished = self._clock()
             job.error = error
-            self._append(
-                "finish", job_id=job_id, state=job.state, error=error
-            )
+            self._append("finish", job, state=job.state, error=error)
             # A slot freed up for this client; wake a waiting worker.
             self._not_empty.notify()
         return job
 
-    def requeue(self, job_id: str) -> Job:
-        """Put an interrupted running job back at its queue position."""
+    def requeue(self, job_id: str, reason: str) -> Job:
+        """Put an interrupted running job back at its queue position.
+
+        ``reason`` (``"drain"``, ``"shutdown"``) goes to the journal and
+        the lifecycle event alike.
+        """
         with self._not_empty:
             job = self._jobs[job_id]
             job.state = QUEUED
@@ -260,9 +290,9 @@ class JobQueue:
             job.interruptions += 1
             self._append(
                 "requeue",
-                job_id=job_id,
+                job,
                 interruptions=job.interruptions,
-                reason="shutdown",
+                reason=reason,
             )
             self._not_empty.notify()
         return job
@@ -281,7 +311,7 @@ class JobQueue:
             if job.state == QUEUED:
                 job.state = CANCELLED
                 job.finished = self._clock()
-                self._append("cancel", job_id=job_id)
+                self._append("cancel", job)
             else:
                 job.cancel_event.set()
         return job
@@ -333,3 +363,30 @@ class JobQueue:
 
     def __iter__(self) -> Iterator[Job]:  # pragma: no cover - convenience
         return iter(self.jobs())
+
+
+def _lifecycle_event(
+    event: str, job: Job, fields: dict[str, Any]
+) -> tuple[str, dict[str, Any]]:
+    """The event-log type and attrs of one journal transition."""
+    if event == "submit":
+        return "submit", {"kind": job.kind, "traced": job.trace}
+    if event == "start":
+        return "start", {
+            "kind": job.kind,
+            "queue_wait_seconds": job.queue_wait(),
+            "interruptions": job.interruptions,
+        }
+    if event == "requeue":
+        return "requeue", {
+            "reason": fields["reason"],
+            "interruptions": job.interruptions,
+        }
+    if event == "finish" and job.state == DONE:
+        run = None
+        if job.finished is not None and job.started is not None:
+            run = max(0.0, job.finished - job.started)
+        return "complete", {"kind": job.kind, "run_seconds": run}
+    if event == "finish" and job.state == FAILED:
+        return "fail", {"error": (job.error or {}).get("error")}
+    return "cancel", {}

@@ -20,10 +20,12 @@ Metrics (shared :class:`~repro.service.metrics.ServiceMetrics`):
 histograms, and counters track submissions, completions, failures,
 cancellations, and checkpoint traffic — all scraped via ``/metrics``.
 
-Observability v2 rides along: when the scheduler is built with an
-:class:`~repro.obs.events.EventLog` it emits one typed event per
-lifecycle transition (dequeue/start/checkpoint/requeue/complete/fail/
-cancel, plus surrogate accept/fallback decisions); an
+Observability v2 rides along.  Job lifecycle events (submit/start/
+requeue/complete/fail/cancel) come from the queue, one per journal
+append; when the scheduler is built with an
+:class:`~repro.obs.events.EventLog` it adds only what the journal does
+not record (surrogate accept/fallback decisions and tile-scoped sweep
+``fail`` events); an
 :class:`~repro.obs.slo.SLOMonitor` observes every terminal job; and a
 job submitted with ``trace: true`` runs under a per-worker scoped
 tracer (:func:`repro.obs.trace.scoped_tracing`) whose spans — stitched
@@ -124,7 +126,7 @@ class Scheduler:
         self._threads: list[threading.Thread] = []
 
     def _emit(self, event_type: str, job: Job, **attrs: Any) -> None:
-        """One lifecycle event carrying the job's identity triple."""
+        """One in-flight event carrying the job's identity triple."""
         if self._events is not None:
             self._events.emit(
                 event_type,
@@ -183,9 +185,8 @@ class Scheduler:
             if thread.is_alive():
                 clean = False
         for job in self._queue.running():
-            self._queue.requeue(job.job_id)
+            self._queue.requeue(job.job_id, "shutdown")
             self._metrics.incr("jobs_requeued")
-            self._emit("requeue", job, reason="shutdown")
         self._engine.close()
         return clean
 
@@ -200,13 +201,6 @@ class Scheduler:
             wait = job.queue_wait()
             if wait is not None:
                 self._metrics.add_time("queue_wait", wait)
-            self._emit(
-                "dequeue",
-                job,
-                kind=job.kind,
-                queue_wait_seconds=wait,
-                interruptions=job.interruptions,
-            )
             self._run_job(job)
 
     def _run_job(self, job: Job) -> None:
@@ -219,7 +213,6 @@ class Scheduler:
         (``max_workers=1``), which keeps every engine span on the scoped
         thread.
         """
-        self._emit("start", job, kind=job.kind)
         tracer = Tracer() if job.trace else None
         scope = scoped_tracing(tracer) if tracer is not None else nullcontext()
         run_start = time.perf_counter()
@@ -243,9 +236,10 @@ class Scheduler:
     ) -> tuple[str, Callable[[], None]]:
         """Execute one job to a verdict; the returned callable commits it.
 
-        The commit (queue state transition + counters + lifecycle
-        event) is deferred so the caller can write the job's trace file
-        first — a terminal job therefore always has its trace on disk.
+        The commit (queue state transition, which emits the lifecycle
+        event, + counters) is deferred so the caller can write the job's
+        trace file first — a terminal job therefore always has its trace
+        on disk.
         """
         with trace_span(
             "job", category="daemon", job=job.job_id, kind=job.kind
@@ -256,9 +250,8 @@ class Scheduler:
             except JobInterrupted:
 
                 def requeue() -> None:
-                    self._queue.requeue(job.job_id)
+                    self._queue.requeue(job.job_id, "drain")
                     self._metrics.incr("jobs_requeued")
-                    self._emit("requeue", job, reason="drain")
 
                 return "requeued", requeue
             except _Cancelled:
@@ -276,17 +269,12 @@ class Scheduler:
             def complete() -> None:
                 self._queue.finish(job.job_id, result=result)
                 self._metrics.incr("jobs_completed")
-                run = None
-                if job.finished is not None and job.started is not None:
-                    run = max(0.0, job.finished - job.started)
-                self._emit("complete", job, kind=job.kind, run_seconds=run)
 
             return "done", complete
 
     def _commit_cancelled(self, job: Job) -> None:
         self._queue.finish(job.job_id, cancelled=True)
         self._metrics.incr("jobs_cancelled")
-        self._emit("cancel", job)
 
     def _failure_commit(
         self, job: Job, body: dict[str, Any]
@@ -294,7 +282,6 @@ class Scheduler:
         def fail() -> None:
             self._queue.finish(job.job_id, error=body)
             self._metrics.incr("jobs_failed")
-            self._emit("fail", job, error=body.get("error"))
 
         return fail
 

@@ -140,7 +140,9 @@ class DaemonApp:
                     "obs_surrogate_audit_disagreements", 0
                 )
         self.queue = JobQueue(
-            self.state_dir, max_running_per_client=max_client_running
+            self.state_dir,
+            max_running_per_client=max_client_running,
+            events=self.events,
         )
         self.limiter = RateLimiter(rate, burst)
         self.scheduler = Scheduler(
@@ -155,17 +157,6 @@ class DaemonApp:
             self.engine.metrics.incr(
                 "jobs_recovered", len(self.queue.recovered_jobs)
             )
-            for job_id in self.queue.recovered_jobs:
-                job = self.queue.get(job_id)
-                if job is not None:
-                    self.events.emit(
-                        "requeue",
-                        job_id=job.job_id,
-                        trace_id=job.trace_id,
-                        client=job.client,
-                        reason="recovered",
-                        interruptions=job.interruptions,
-                    )
 
     # Lifecycle ------------------------------------------------------------
     def start(self) -> None:
@@ -224,14 +215,6 @@ class DaemonApp:
         except RuntimeError as exc:
             return 503, error_body(str(exc))
         self.engine.metrics.incr("jobs_submitted")
-        self.events.emit(
-            "submit",
-            job_id=job.job_id,
-            trace_id=job.trace_id,
-            client=client,
-            kind=kind,
-            traced=trace,
-        )
         return 200, {
             "id": job.job_id,
             "state": job.state,

@@ -43,14 +43,12 @@ class ExperimentContext:
         testbed: VirtualTestbed | None = None,
         batched_transfers: bool = False,
         explorer: str = "fast",
-        sweep: bool = True,
     ) -> None:
-        """``sweep=True`` (the default) serves multi-dataset projections
-        through the parametric :class:`~repro.sweep.engine.SweepEngine`
-        — the first projection of a workload sweeps *all* its datasets
-        in one structural pass.  Results are numerically identical to
-        the per-point projector (``docs/SWEEP.md``); ``sweep=False``
-        restores point-at-a-time projection.
+        """Multi-dataset projections are served through the parametric
+        :class:`~repro.sweep.engine.SweepEngine` — the first projection
+        of a workload sweeps *all* its datasets in one structural pass.
+        Results are identical to the per-point projector
+        (``docs/SWEEP.md``).
         """
         self.testbed = testbed or argonne_testbed(seed)
         self.bus_model = calibrate_bus(self.testbed.bus)
@@ -61,7 +59,6 @@ class ExperimentContext:
             batched_transfers=batched_transfers,
             explorer=explorer,
         )
-        self.sweep = sweep
         self._sweep_engine: SweepEngine | None = None
         self._projections: dict[tuple[str, str], Projection] = {}
         self._measured: dict[tuple[str, str], MeasuredApplication] = {}
@@ -120,11 +117,10 @@ class ExperimentContext:
     def projection(self, workload: Workload, dataset: Dataset) -> Projection:
         key = (workload.name, dataset.label)
         if key not in self._projections:
-            if self.sweep:
-                # One structural pass covers the whole workload; the
-                # requested dataset may be outside workload.datasets()
-                # (custom sweeps), in which case fall through below.
-                self.project_all(workload)
+            # One structural pass covers the whole workload; the
+            # requested dataset may be outside workload.datasets()
+            # (custom sweeps), in which case fall through below.
+            self.project_all(workload)
             if key not in self._projections:
                 program = workload.skeleton(dataset)
                 with trace_span(

@@ -43,10 +43,9 @@ class SpeedupVsSizeResult:
 def run_speedup_vs_size(
     ctx: ExperimentContext, workload: Workload, iterations: int = 1
 ) -> SpeedupVsSizeResult:
-    if ctx.sweep:
-        # One structural pass over the whole size axis (docs/SWEEP.md);
-        # the per-dataset reports below then read from the cache.
-        ctx.project_all(workload)
+    # One structural pass over the whole size axis (docs/SWEEP.md);
+    # the per-dataset reports below then read from the cache.
+    ctx.project_all(workload)
     labels, measured, with_t, without_t = [], [], [], []
     for dataset in workload.datasets():
         report = ctx.report(workload, dataset)

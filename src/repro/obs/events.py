@@ -1,9 +1,11 @@
 """The daemon's structured event log: a ring in memory, JSONL on disk.
 
-Every job lifecycle transition — and the interesting in-flight moments
+Every job lifecycle transition — emitted by the job queue
+(:mod:`repro.daemon.queue`) as it appends to its journal — and the
+interesting in-flight moments the journal does not record
 (checkpoints, rate-limit rejections, surrogate accept/fallback
-decisions, shadow-audit verdicts) — lands here as one typed
-:class:`Event`.  Two sinks, one emit:
+decisions, shadow-audit verdicts, failed sweep tiles) land here as one
+typed :class:`Event`.  Two sinks, one emit:
 
 - a bounded in-memory ring (``capacity`` most recent events) that
   ``GET /v1/events`` and ``repro daemon tail`` read with
@@ -16,7 +18,7 @@ decisions, shadow-audit verdicts) — lands here as one typed
 
 Emission is cheap (one dict, one JSON line appended through a
 descriptor held open between events, no fsync — this is observability,
-not the journal of record) and thread-safe; the scheduler's per-job
+not the journal of record) and thread-safe; the per-job
 overhead is a handful of microseconds, far inside the daemon's ≤10%
 overhead gate.
 """
@@ -37,7 +39,6 @@ from typing import Any, Callable, Iterable
 #: dashboards.
 EVENT_TYPES = (
     "submit",
-    "dequeue",
     "start",
     "checkpoint",
     "requeue",

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from repro.core.prediction import Projection
+from repro.core.projector import integrate, plan_transfers
 from repro.core.serialize import ProjectionSummary, summarize_projection
-from repro.datausage.analyzer import analyze_transfers
 from repro.datausage.hints import AnalysisHints
 from repro.gpu.arch import GPUArchitecture, quadro_fx_5600
 from repro.gpu.model import GpuPerformanceModel
@@ -412,7 +412,8 @@ class ProjectionEngine:
         shutdown_pool()
 
     def _compute(self, request: ProjectionRequest) -> Projection:
-        """The GROPHECY++ pipeline, staged and instrumented."""
+        """The GROPHECY++ pipeline (:mod:`repro.core.projector`), staged
+        and instrumented, exploring through the kernel cache."""
         program = request.program
         arch = request.arch or self._arch
         bus = request.bus or self._bus
@@ -422,24 +423,8 @@ class ProjectionEngine:
         with self.metrics.timer("explore"):
             kernels = self._explore(program, model, space)
         with self.metrics.timer("analyze"):
-            with trace_span(
-                "transfer-planning", program=program.name
-            ) as planning:
-                plan = analyze_transfers(program, request.hints)
-                if request.batched_transfers:
-                    plan = plan.batched()
-                planning.set(
-                    transfers=plan.transfer_count,
-                    bytes=plan.total_bytes,
-                )
+            plan = plan_transfers(
+                program, request.hints, request.batched_transfers
+            )
         with self.metrics.timer("predict"):
-            with trace_span("integrate", program=program.name):
-                per_transfer = tuple(bus.predict_plan_by_transfer(plan))
-                return Projection(
-                    program=program.name,
-                    kernel_seconds=kernels.seconds,
-                    transfer_seconds=sum(per_transfer),
-                    plan=plan,
-                    per_transfer_seconds=per_transfer,
-                    kernels=kernels,
-                )
+            return integrate(program.name, kernels, plan, bus)

@@ -42,7 +42,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.datausage.analyzer import analyze_transfers
+from repro.core.projector import plan_transfers
 from repro.obs.provenance import ServingProvenance
 from repro.obs.trace import span
 from repro.service.engine import (
@@ -255,9 +255,9 @@ class SurrogateEngine:
         prepared.confidence = float(
             model.confidence(np.asarray([prepared.min_margin]))[0]
         )
-        plan = analyze_transfers(program, request.hints)
-        if request.batched_transfers:
-            plan = plan.batched()
+        plan = plan_transfers(
+            program, request.hints, request.batched_transfers
+        )
         h2d = [t.bytes for t in plan.transfers if t.direction.short == "H2D"]
         d2h = [t.bytes for t in plan.transfers if t.direction.short == "D2H"]
         prepared.h2d_count = len(h2d)

@@ -11,6 +11,8 @@ application skeleton instantiated at many dataset sizes — in one pass:
    single :func:`~repro.gpu.vectorized.fused_seconds` NumPy pass per
    kernel and architecture, and only each point's ranking head is
    materialized; non-anchor transfer plans come from the template.
+   Each point is then assembled by the core pipeline's
+   :func:`~repro.core.projector.integrate`.
 
 Every certificate failure degrades gracefully to the exact per-point
 pipeline (never to a wrong answer), and both paths produce identical
@@ -29,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.prediction import Projection
-from repro.datausage.analyzer import analyze_transfers
+from repro.core.projector import GrophecyPlusPlus, integrate, plan_transfers
 from repro.datausage.hints import AnalysisHints
 from repro.datausage.transfers import TransferPlan
 from repro.gpu.arch import GPUArchitecture
@@ -125,7 +127,8 @@ class SweepEngine:
     Construction mirrors :class:`~repro.core.projector.GrophecyPlusPlus`
     (same architecture/bus/space/batched-transfers knobs, fused
     exploration); ``stats`` exposes how the last sweep was served (how
-    many points rode the shared structure vs the exact fallback).
+    many coalescing groups shared one kernel analysis, how many plans
+    came from the template rather than the exact analyzer).
     """
 
     def __init__(
@@ -180,92 +183,27 @@ class SweepEngine:
     ) -> list[Projection]:
         """Project every program, in input order.
 
-        ``sizes`` is the sweep's numeric axis (one value per program);
-        without it transfer plans are computed exactly at every point
-        (only kernel scoring is shared).  ``check=True`` additionally
-        projects every point through the per-point pipeline and raises
+        The one-row case of :meth:`sweep_arch_grid`, on the engine's own
+        architecture and bus.  ``sizes`` is the sweep's numeric axis (one
+        value per program); without it transfer plans are computed
+        exactly at every point (only kernel scoring is shared).
+        ``check=True`` additionally projects every point through
+        :class:`~repro.core.projector.GrophecyPlusPlus` and raises
         ``AssertionError`` on any mismatch — the oracle mode the
         equivalence tests and the CLI's ``sweep --check`` use.
         """
         programs = list(programs)
         if not programs:
             return []
-        hints_list = (
-            list(hints) if hints is not None else [None] * len(programs)
+        (row,) = self.sweep_arch_grid(
+            programs,
+            [self._model.arch],
+            hints=hints,
+            sizes=sizes,
+            buses=[self._bus],
+            check=check,
         )
-        if len(hints_list) != len(programs):
-            raise ValueError(
-                f"hints do not match programs: {len(hints_list)} vs "
-                f"{len(programs)}"
-            )
-        if sizes is not None and len(sizes) != len(programs):
-            raise ValueError(
-                f"sizes do not match programs: {len(sizes)} vs "
-                f"{len(programs)}"
-            )
-
-        with trace_span(
-            "sweep", category="sweep", points=len(programs)
-        ) as root:
-            anchors = self._anchor_indices(len(programs), sizes)
-            shared = self._shared_kernels(
-                programs,
-                anchors,
-                self._model.arch.strict_coalescing,
-                [self._model],
-            )
-            kernels = None if shared is None else shared[0]
-            with trace_span(
-                "transfer-planning", category="sweep", points=len(programs)
-            ):
-                plans, template_points = self._sweep_plans(
-                    programs, hints_list, sizes, anchors
-                )
-            self.stats = {
-                "points": len(programs),
-                "kernels_shared": int(kernels is not None),
-                "plans_from_template": template_points,
-                "plans_exact": len(programs) - template_points,
-            }
-            root.set(
-                kernels_shared=bool(kernels is not None),
-                plans_from_template=template_points,
-            )
-
-            projections: list[Projection] = []
-            with trace_span(
-                "integrate", category="sweep", points=len(programs)
-            ):
-                for index, program in enumerate(programs):
-                    kernel_projection = (
-                        kernels[index]
-                        if kernels is not None
-                        else project_program(program, self._model, self._space)
-                    )
-                    plan = plans[index]
-                    if plan is None:
-                        plan = self._exact_plan(program, hints_list[index])
-                    per_transfer = tuple(
-                        self._bus.predict_plan_by_transfer(plan)
-                    )
-                    projections.append(
-                        Projection(
-                            program=program.name,
-                            kernel_seconds=kernel_projection.seconds,
-                            transfer_seconds=sum(per_transfer),
-                            plan=plan,
-                            per_transfer_seconds=per_transfer,
-                            kernels=kernel_projection,
-                        )
-                    )
-        if check:
-            for index, program in enumerate(programs):
-                exact = self._project_exact(program, hints_list[index])
-                assert projections[index] == exact, (
-                    f"sweep point {index} ({program.name}) diverged from "
-                    f"the per-point pipeline"
-                )
-        return projections
+        return list(row.projections)
 
     # Argmin ----------------------------------------------------------------
     def argmin_workload(
@@ -446,14 +384,14 @@ class SweepEngine:
             for entry in entries
         ]
         with trace_span(
-            "sweep-arches",
+            "sweep",
             category="sweep",
             arches=len(entries),
             points=len(programs),
         ) as root:
             anchors = self._anchor_indices(len(programs), sizes)
             with trace_span(
-                "transfer-planning", category="sweep", points=len(programs)
+                "sweep-plans", category="sweep", points=len(programs)
             ):
                 maybe_plans, template_points = self._sweep_plans(
                     programs, hints_list, sizes, anchors
@@ -461,7 +399,9 @@ class SweepEngine:
                 plans = [
                     plan
                     if plan is not None
-                    else self._exact_plan(programs[i], hints_list[i])
+                    else plan_transfers(
+                        programs[i], hints_list[i], self._batched
+                    )
                     for i, plan in enumerate(maybe_plans)
                 ]
 
@@ -489,24 +429,13 @@ class SweepEngine:
 
             rows: list[ArchSweepRow] = []
             for index, (arch_id, arch, bus) in enumerate(entries):
-                projections = []
-                for p, program in enumerate(programs):
-                    per_transfer = tuple(bus.predict_plan_by_transfer(plans[p]))
-                    row_kernels = kernels[index]
-                    assert row_kernels is not None  # every group filled
-                    projections.append(
-                        Projection(
-                            program=program.name,
-                            kernel_seconds=row_kernels[p].seconds,
-                            transfer_seconds=sum(per_transfer),
-                            plan=plans[p],
-                            per_transfer_seconds=per_transfer,
-                            kernels=row_kernels[p],
-                        )
-                    )
-                rows.append(
-                    ArchSweepRow(arch_id, arch, bus, tuple(projections))
+                row_kernels = kernels[index]
+                assert row_kernels is not None  # every group filled
+                projections = tuple(
+                    integrate(program.name, row_kernels[p], plans[p], bus)
+                    for p, program in enumerate(programs)
                 )
+                rows.append(ArchSweepRow(arch_id, arch, bus, projections))
             self.stats = {
                 "arches": len(entries),
                 "points": len(programs),
@@ -521,11 +450,14 @@ class SweepEngine:
             root.set(**self.stats)
         if check:
             for row in rows:
-                fresh = GpuPerformanceModel(row.arch)
+                oracle = GrophecyPlusPlus(
+                    GpuPerformanceModel(row.arch),
+                    row.bus,
+                    self._space,
+                    batched_transfers=self._batched,
+                )
                 for p, program in enumerate(programs):
-                    exact = self._project_exact(
-                        program, hints_list[p], model=fresh, bus=row.bus
-                    )
+                    exact = oracle.project(program, hints_list[p])
                     assert row.projections[p] == exact, (
                         f"arch sweep point ({row.arch.name}, {program.name})"
                         " diverged from the per-arch pipeline"
@@ -666,14 +598,6 @@ class SweepEngine:
         return sorted({order[0], order[count // 2], order[-1]})
 
     # Transfer side ---------------------------------------------------------
-    def _exact_plan(
-        self, program: ProgramSkeleton, hints: AnalysisHints | None
-    ) -> TransferPlan:
-        plan = analyze_transfers(program, hints)
-        if self._batched:
-            plan = plan.batched()
-        return plan
-
     def _sweep_plans(
         self,
         programs: list[ProgramSkeleton],
@@ -694,8 +618,8 @@ class SweepEngine:
         if sizes is None:
             return plans, 0
         for index in anchors:
-            plans[index] = self._exact_plan(
-                programs[index], hints_list[index]
+            plans[index] = plan_transfers(
+                programs[index], hints_list[index], self._batched
             )
         if count <= len(anchors):
             return plans, 0
@@ -712,27 +636,3 @@ class SweepEngine:
                 )
                 template_points += plans[index] is not None
         return plans, template_points
-
-    # Oracle ----------------------------------------------------------------
-    def _project_exact(
-        self,
-        program: ProgramSkeleton,
-        hints: AnalysisHints | None,
-        model: GpuPerformanceModel | None = None,
-        bus: BusModel | None = None,
-    ) -> Projection:
-        """The per-point pipeline (the ``check=True`` oracle); ``model``
-        and ``bus`` override the engine's for per-arch oracle runs."""
-        model = model if model is not None else self._model
-        bus = bus if bus is not None else self._bus
-        kernels = project_program(program, model, self._space)
-        plan = self._exact_plan(program, hints)
-        per_transfer = tuple(bus.predict_plan_by_transfer(plan))
-        return Projection(
-            program=program.name,
-            kernel_seconds=kernels.seconds,
-            transfer_seconds=sum(per_transfer),
-            plan=plan,
-            per_transfer_seconds=per_transfer,
-            kernels=kernels,
-        )

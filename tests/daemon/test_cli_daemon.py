@@ -8,6 +8,8 @@ from repro.cli import main
 from repro.daemon.server import DaemonApp, DaemonServer
 from repro.version import package_version
 
+from tests.daemon.lifecycle import assert_events_match_journal
+
 
 def run_cli(*argv):
     out_lines, err_lines = [], []
@@ -265,10 +267,11 @@ class TestObsVerbs:
         )
         assert code == 0
         events = [json.loads(line) for line in out.splitlines()]
-        types = [event["type"] for event in events]
-        for expected in ("submit", "dequeue", "start", "complete"):
-            assert expected in types
+        assert {event["job_id"] for event in events} == {job_id}
         assert all("seq" in event and "at" in event for event in events)
+        assert job_id in assert_events_match_journal(
+            live_daemon.app.state_dir
+        )
 
     def test_status_json_matches_the_http_body(self, live_daemon):
         code, out, _ = run_cli(

@@ -12,9 +12,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.daemon.client import DaemonError
+from repro.daemon.client import DaemonClient, DaemonError
 from repro.daemon.protocol import Job
-from repro.daemon.server import DaemonApp
+from repro.daemon.server import DaemonApp, DaemonServer
 from repro.gpu.arch import quadro_fx_5600
 from repro.obs.context import validate_chrome_trace
 from repro.obs.prometheus import parse_exposition
@@ -25,6 +25,7 @@ from repro.surrogate.store import save_model
 from repro.transform.space import TransformationSpace
 from repro.workloads.registry import get_workload
 
+from tests.daemon.lifecycle import assert_events_match_journal
 from tests.daemon.test_server import running_daemon
 
 PAYLOAD = {"workload": "VectorAdd", "dataset": "4M"}
@@ -85,7 +86,8 @@ class TestTraceEndpoint:
         )
 
     def test_client_trace_id_propagates_end_to_end(self, tmp_path):
-        with running_daemon(tmp_path / "state") as (_, _, client):
+        state = tmp_path / "state"
+        with running_daemon(state) as (_, _, client):
             submitted = client.submit(
                 "projection",
                 dict(PAYLOAD),
@@ -101,12 +103,12 @@ class TestTraceEndpoint:
             event["args"]["trace_id"] == "my-request-001"
             for event in document["traceEvents"]
         )
-        lifecycle = [
-            event["type"]
+        assert {
+            event["job_id"]
             for event in events
             if event.get("trace_id") == "my-request-001"
-        ]
-        assert lifecycle == ["submit", "dequeue", "start", "complete"]
+        } == {submitted["id"]}
+        assert_events_match_journal(state)
 
     def test_untraced_job_404s_with_a_hint(self, tmp_path):
         with running_daemon(tmp_path / "state") as (_, _, client):
@@ -226,21 +228,17 @@ class TestEventsEndpoint:
     def test_lifecycle_events_in_order_with_follower_protocol(
         self, tmp_path
     ):
-        with running_daemon(tmp_path / "state") as (_, _, client):
+        state = tmp_path / "state"
+        with running_daemon(state) as (_, _, client):
             submitted = client.submit(
                 "projection", dict(PAYLOAD), client="alice"
             )
             client.wait(submitted["id"], timeout=120)
             body = client.events(limit=100)
-            assert body["last_seq"] >= 4
+            assert body["last_seq"] >= 3
             # The follower protocol: nothing re-delivers after last_seq.
             assert client.events(after=body["last_seq"])["events"] == []
-        types = [
-            event["type"]
-            for event in body["events"]
-            if event.get("job_id") == submitted["id"]
-        ]
-        assert types == ["submit", "dequeue", "start", "complete"]
+        assert submitted["id"] in assert_events_match_journal(state)
         submit_event = next(
             event
             for event in body["events"]
@@ -248,6 +246,28 @@ class TestEventsEndpoint:
         )
         assert submit_event["client"] == "alice"
         assert submit_event["trace_id"]
+
+    def test_queued_cancel_emits_cancel_event(self, tmp_path, monkeypatch):
+        state = tmp_path / "state"
+        app = DaemonApp(state, workers=1)
+        # No workers: the job is still queued when the cancel lands.
+        monkeypatch.setattr(app.scheduler, "start", lambda: None)
+        server = DaemonServer(app)
+        server.serve_in_thread()
+        try:
+            client = DaemonClient(base_url=server.url)
+            job_id = client.submit("projection", dict(PAYLOAD))["id"]
+            assert client.cancel(job_id)["state"] == "cancelled"
+            events = client.events(limit=100)["events"]
+        finally:
+            server.stop()
+        assert [(e["type"], e["job_id"]) for e in events] == [
+            ("submit", job_id),
+            ("cancel", job_id),
+        ]
+        assert assert_events_match_journal(state)[job_id] == [
+            "submit", "cancel"
+        ]
 
     def test_failed_job_emits_fail_event(self, tmp_path):
         with running_daemon(tmp_path / "state") as (_, _, client):
@@ -359,7 +379,8 @@ class TestSLOEndpoint:
         assert samples["repro_obs_slo_error_burn_rate"] == 0.0
         assert samples["repro_obs_slo_latency_burn_rate"] == 0.0
         assert samples["repro_obs_health_ok"] == 1
-        assert samples["repro_obs_events_emitted"] >= 4
+        # submit, start, complete: one event per journal transition.
+        assert samples["repro_obs_events_emitted"] == 3
 
 
 class TestShadowAuditInDaemon:

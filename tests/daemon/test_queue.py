@@ -153,7 +153,7 @@ class TestDurability:
         queue.submit(make_job("first"))
         queue.submit(make_job("second"))
         job = queue.claim(timeout=0.1)
-        queue.requeue(job.job_id)
+        queue.requeue(job.job_id, "drain")
         assert queue.get("first").interruptions == 1
         assert queue.claim(timeout=0.1).job_id == "first"
 

@@ -25,7 +25,10 @@ from repro.daemon.queue import JobQueue
 from repro.daemon.scheduler import Scheduler
 from repro.gpu.arch import quadro_fx_5600
 from repro.harness.context import ExperimentContext
+from repro.obs.events import EventLog
 from repro.service.engine import ProjectionEngine
+
+from tests.daemon.lifecycle import assert_events_match_journal
 
 SWEEP_PAYLOAD = {"workload": "VectorAdd"}
 VOLATILE = ("seconds", "cached")
@@ -66,12 +69,15 @@ def run_sweep_to_completion(state_dir, job_id, submit=True):
 class TestDrainMidSweep:
     def test_drain_checkpoints_and_requeues(self, tmp_path, monkeypatch):
         state = tmp_path / "state"
-        queue = JobQueue(state)
+        events = EventLog(state / "events.jsonl")
+        queue = JobQueue(state, events=events)
         queue.submit(
             Job(job_id="drainjob", kind="sweep",
                 payload=dict(SWEEP_PAYLOAD))
         )
-        scheduler = Scheduler(queue, make_engine(), workers=1)
+        scheduler = Scheduler(
+            queue, make_engine(), workers=1, events=events
+        )
 
         recorded = []
         original = SweepCheckpoint.record
@@ -96,6 +102,15 @@ class TestDrainMidSweep:
         assert recorded == [0]  # exactly one tile before the drain
         checkpoint = SweepCheckpoint(state, "drainjob", job.fingerprint)
         assert set(checkpoint.load()) == {0}
+        # One requeue call wrote the drain reason to both records.
+        events.close()
+        # (A worker may re-claim the job and hit the drain again before
+        # the intake closes, so the start/requeue pair can repeat.)
+        transitions = assert_events_match_journal(state)["drainjob"]
+        assert transitions[:3] == ["submit", "start", "requeue:drain"]
+        assert {t for t in transitions if t.startswith("requeue")} == {
+            "requeue:drain"
+        }
 
         monkeypatch.setattr(SweepCheckpoint, "record", original)
         finished, result = run_sweep_to_completion(

@@ -72,16 +72,14 @@ class TestExperimentContext:
 
 
 class TestSweepWiring:
-    def test_sweep_on_by_default(self, ctx):
-        assert ctx.sweep is True
-
     def test_projection_equals_per_point_path(self, ctx):
         """The sweep-served projections must be dataclass-equal to what
-        a sweep-disabled context (the old per-point path) computes."""
-        plain = ExperimentContext(seed=2013, sweep=False)
+        the context's per-point projector computes."""
         w = get_workload("CFD")
         for ds in w.datasets():
-            assert ctx.projection(w, ds) == plain.projection(w, ds)
+            assert ctx.projection(w, ds) == ctx.projector.project(
+                w.skeleton(ds), w.hints(ds)
+            )
 
     def test_first_projection_sweeps_whole_workload(self):
         context = ExperimentContext(seed=2013)
@@ -104,11 +102,3 @@ class TestSweepWiring:
         engine = context.sweep_engine
         assert engine is context.sweep_engine
         assert engine.model is context.projector.model
-
-    def test_sweep_disabled_stays_per_point(self):
-        context = ExperimentContext(seed=2013, sweep=False)
-        w = get_workload("CFD")
-        datasets = w.datasets()
-        context.projection(w, datasets[0])
-        assert (w.name, datasets[0].label) in context._projections
-        assert (w.name, datasets[-1].label) not in context._projections

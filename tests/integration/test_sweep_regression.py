@@ -1,10 +1,11 @@
 """Figure CSVs must be byte-identical with and without the sweep engine.
 
-``ExperimentContext`` now serves fig 7-12 (and the PCIe what-if) through
-the parametric sweep engine by default.  This regression pins the
-engine's exactness at the artifact level: the exported CSV text of every
+``ExperimentContext`` serves fig 7-12 (and the PCIe what-if) through
+the parametric sweep engine.  This regression pins the engine's
+exactness at the artifact level: the exported CSV text of every
 figure — the files under ``results/`` — is compared byte-for-byte
-between a sweep-enabled and a sweep-disabled context.
+between the context and one whose sweeps project point by point
+through the context's own ``GrophecyPlusPlus``.
 """
 
 import pytest
@@ -22,14 +23,33 @@ SIZE_FIGURES = {"fig7": "CFD", "fig9": "HotSpot", "fig11": "SRAD"}
 ITER_FIGURES = {"fig8": "CFD", "fig10": "HotSpot", "fig12": "SRAD"}
 
 
+class _PerPointSweeps:
+    """A stand-in sweep engine: every point through the projector."""
+
+    def __init__(self, projector):
+        self._projector = projector
+
+    def sweep_workload(self, workload, datasets=None):
+        return [
+            self._projector.project(workload.skeleton(d), workload.hints(d))
+            for d in (datasets or workload.datasets())
+        ]
+
+
+class _PerPointContext(ExperimentContext):
+    @property
+    def sweep_engine(self):
+        return _PerPointSweeps(self.projector)
+
+
 @pytest.fixture(scope="module")
 def sweep_ctx():
-    return ExperimentContext(seed=2013, sweep=True)
+    return ExperimentContext(seed=2013)
 
 
 @pytest.fixture(scope="module")
 def point_ctx():
-    return ExperimentContext(seed=2013, sweep=False)
+    return _PerPointContext(seed=2013)
 
 
 class TestFigureCsvRegression:

@@ -100,10 +100,13 @@ class TestManyPointSweep:
         programs, hints, sizes = self._inputs(Cfd())
         swept = sweep.sweep(programs, hints=hints, sizes=sizes)
         assert sweep.stats == {
+            "arches": 1,
             "points": self.POINTS,
-            "kernels_shared": 1,
+            "coalescing_groups": 1,
+            "groups_shared": 1,
+            "plans_computed": self.POINTS,
             "plans_from_template": self.POINTS - 3,
-            "plans_exact": 3,
+            "plans_reused_across_arches": 0,
         }
         for program, hint, projection in zip(programs, hints, swept):
             assert projection == point.project(program, hint)
@@ -113,8 +116,7 @@ class TestManyPointSweep:
         programs, hints, _ = self._inputs(Cfd())
         swept = sweep.sweep(programs, hints=hints)
         assert sweep.stats["plans_from_template"] == 0
-        assert sweep.stats["plans_exact"] == self.POINTS
-        assert sweep.stats["kernels_shared"] == 1
+        assert sweep.stats["groups_shared"] == 1
         for program, hint, projection in zip(programs, hints, swept):
             assert projection == point.project(program, hint)
 
@@ -145,7 +147,7 @@ class TestManyPointSweep:
         swept = sweep.sweep(
             [p for p, _ in mixed], hints=[h for _, h in mixed]
         )
-        assert sweep.stats["kernels_shared"] == 0
+        assert sweep.stats["groups_shared"] == 0
         for (program, hint), projection in zip(mixed, swept):
             assert projection == point.project(program, hint)
 
