@@ -3,12 +3,20 @@ projection pipeline every serving path shares.
 
 :func:`plan_transfers` (what crosses the bus) and :func:`integrate`
 (price each transfer, assemble the :class:`Projection`) are the only
-places a transfer plan is analyzed and a projection is built;
-:class:`GrophecyPlusPlus`, the service engine, the sweep engine and the
-surrogate's plan preparation all call them.
+places a transfer plan is analyzed and a projection is built.
+:class:`GrophecyPlusPlus` calls :func:`plan_transfers` directly — it is
+the uncached oracle.  The serving paths (the service engine, the sweep
+engine and the surrogate's plan preparation) read plans through
+:data:`PLAN_STORE`, which runs the analyzer once per program content:
+the plan depends on the program, its hints and ``batched`` alone, never
+on the architecture, the bus or the iteration count.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+from collections import OrderedDict
 
 from repro.datausage.analyzer import analyze_transfers
 from repro.datausage.hints import AnalysisHints
@@ -119,13 +127,128 @@ def plan_transfers(
     batched: bool,
 ) -> TransferPlan:
     """What must cross the bus: the data usage analyzer's plan, merged
-    into one transfer per direction when ``batched``."""
-    with trace_span("transfer-planning", program=program.name) as planning:
-        plan = analyze_transfers(program, hints)
-        if batched:
-            plan = plan.batched()
+    into one transfer per direction when ``batched``.
+
+    Always runs the analyzer (the oracle); serving paths read through
+    :data:`PLAN_STORE` instead.
+    """
+    with trace_span(
+        "transfer-planning", program=program.name, cached=False
+    ) as planning:
+        plan = _analyze(program, hints, batched)
         planning.set(transfers=plan.transfer_count, bytes=plan.total_bytes)
     return plan
+
+
+def _analyze(
+    program: ProgramSkeleton, hints: AnalysisHints | None, batched: bool
+) -> TransferPlan:
+    plan = analyze_transfers(program, hints)
+    return plan.batched() if batched else plan
+
+
+#: Plans a :class:`PlanStore` keeps (least recently used evicted first).
+#: An entry retains about two kilobytes, so the store stays near two
+#: megabytes while holding every registry dataset many times over.
+PLAN_STORE_CAPACITY = 1024
+
+
+class PlanStore:
+    """Bounded, thread-safe, content-keyed store of transfer plans.
+
+    The key is everything the data usage analyzer reads: the program
+    fingerprint (which keeps kernel and statement order), the array
+    declaration order (the plan lists transfers in it, and the
+    fingerprint does not), the hints fingerprint (``None`` and
+    :meth:`AnalysisHints.none` share an entry) and ``batched``.  The
+    value is the immutable :class:`TransferPlan`, equal to what
+    :func:`plan_transfers` returns for the same inputs.  Only plans the
+    analyzer produced are stored, so a program that fails validation
+    raises on every call.  Two threads missing the same key at once may
+    both analyze; they store equal plans.
+    """
+
+    def __init__(self) -> None:
+        self._plans: OrderedDict[tuple, tuple[TransferPlan, int]] = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+        self._bytes = 0
+        self._hits = 0
+        self._misses = 0
+
+    def plan(
+        self,
+        program: ProgramSkeleton,
+        hints: AnalysisHints | None,
+        batched: bool,
+    ) -> TransferPlan:
+        """:func:`plan_transfers`, analyzing only on the first sight of
+        this content."""
+        key = (
+            program.fingerprint(),
+            tuple(array.name for array in program.arrays),
+            (hints or AnalysisHints.none()).fingerprint(),
+            bool(batched),
+        )
+        with trace_span("transfer-planning", program=program.name) as planning:
+            with self._lock:
+                entry = self._plans.get(key)
+                if entry is not None:
+                    self._plans.move_to_end(key)
+                    self._hits += 1
+            cached = entry is not None
+            if cached:
+                plan = entry[0]
+            else:
+                plan = _analyze(program, hints, batched)
+                self._put(key, plan)
+            planning.set(
+                cached=cached,
+                transfers=plan.transfer_count,
+                bytes=plan.total_bytes,
+            )
+        return plan
+
+    def _put(self, key: tuple, plan: TransferPlan) -> None:
+        size = _retained_bytes(key, plan)
+        with self._lock:
+            self._misses += 1
+            if key in self._plans:
+                return
+            self._plans[key] = (plan, size)
+            self._bytes += size
+            while len(self._plans) > PLAN_STORE_CAPACITY:
+                _key, (_plan, evicted) = self._plans.popitem(last=False)
+                self._bytes -= evicted
+
+    def stats(self) -> dict[str, int]:
+        """Entries, approximate retained bytes, hits and misses."""
+        with self._lock:
+            return {
+                "entries": len(self._plans),
+                "bytes": self._bytes,
+                "hits": self._hits,
+                "misses": self._misses,
+            }
+
+    def clear(self) -> None:
+        """Drop every plan and reset the counters."""
+        with self._lock:
+            self._plans.clear()
+            self._bytes = self._hits = self._misses = 0
+
+
+def _retained_bytes(key: tuple, plan: TransferPlan) -> int:
+    """Approximate bytes one entry keeps alive: key, plan, transfers."""
+    parts = [key, *key, *key[1], plan, vars(plan), plan.transfers]
+    for transfer in plan.transfers:
+        parts += (transfer, vars(transfer), transfer.array)
+    return sum(sys.getsizeof(part) for part in parts)
+
+
+#: The process-wide store every serving path reads plans through.
+PLAN_STORE = PlanStore()
 
 
 def integrate(

@@ -44,6 +44,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.core.projector import PLAN_STORE
 from repro.daemon.protocol import (
     PROTOCOL_VERSION,
     Job,
@@ -361,10 +362,12 @@ class DaemonApp:
         }
 
     def metrics_text(self) -> str:
-        """Service metrics exposition plus live queue/SLO/audit gauges."""
+        """Service metrics exposition plus live queue/SLO/audit and
+        plan-store gauges."""
         text = self.engine.metrics.to_prometheus()
         counts = self.queue.counts()
         slo = self.slo.snapshot()
+        plans = PLAN_STORE.stats()
         gauges: list[tuple[str, Any]] = [
             ("queue_depth", counts["queued"]),
             ("jobs_running", counts["running"]),
@@ -374,6 +377,10 @@ class DaemonApp:
             ("obs_slo_latency_burn_rate", slo["latency_burn_rate"]),
             ("obs_events_emitted", self.events.last_seq),
             ("obs_health_ok", 1 if self.health() == "ok" else 0),
+            ("plan_store_entries", plans["entries"]),
+            ("plan_store_bytes", plans["bytes"]),
+            ("plan_store_hits", plans["hits"]),
+            ("plan_store_misses", plans["misses"]),
         ]
         if self.auditor is not None:
             audit = self.auditor.snapshot()

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.brs.footprint import KernelFootprint, kernel_footprint
 from repro.brs.ops import intersect
 from repro.brs.set import SectionSet
 from repro.skeleton.program import ProgramSkeleton
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class DependenceKind(enum.Enum):
@@ -92,6 +94,10 @@ def dependence_graph(program: ProgramSkeleton) -> nx.MultiDiGraph:
     ``array`` and ``kind`` attributes.  The graph of a valid program is a
     DAG in program order by construction.
     """
+    # Imported here, not at module level: networkx is only needed for
+    # this graph view, and importing it costs every process megabytes.
+    import networkx as nx
+
     g = nx.MultiDiGraph(name=program.name)
     for order, kernel in enumerate(program.kernels):
         g.add_node(kernel.name, order=order)

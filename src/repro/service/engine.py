@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from repro.core.prediction import Projection
-from repro.core.projector import integrate, plan_transfers
+from repro.core.projector import PLAN_STORE, integrate
 from repro.core.serialize import ProjectionSummary, summarize_projection
 from repro.datausage.hints import AnalysisHints
 from repro.gpu.arch import GPUArchitecture, quadro_fx_5600
@@ -53,7 +53,9 @@ from repro.util.fingerprint import stable_digest
 from repro.util.validation import check_positive
 
 #: Fingerprint schema version; bump when the key derivation changes.
-KEY_FORMAT = 1
+#: 2: the program fingerprint keeps statement order (format-1 keys
+#: could collide for programs whose transfer plans differ).
+KEY_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -413,7 +415,8 @@ class ProjectionEngine:
 
     def _compute(self, request: ProjectionRequest) -> Projection:
         """The GROPHECY++ pipeline (:mod:`repro.core.projector`), staged
-        and instrumented, exploring through the kernel cache."""
+        and instrumented, exploring through the kernel cache and
+        planning through the process-wide plan store."""
         program = request.program
         arch = request.arch or self._arch
         bus = request.bus or self._bus
@@ -423,7 +426,7 @@ class ProjectionEngine:
         with self.metrics.timer("explore"):
             kernels = self._explore(program, model, space)
         with self.metrics.timer("analyze"):
-            plan = plan_transfers(
+            plan = PLAN_STORE.plan(
                 program, request.hints, request.batched_transfers
             )
         with self.metrics.timer("predict"):

@@ -46,9 +46,11 @@ def _statement_payload(statement) -> dict[str, Any]:
 
 
 def _kernel_payload(kernel: KernelSkeleton) -> dict[str, Any]:
-    # Loop order matters (it defines the nest); statement order does not
-    # (every statement executes once per innermost iteration), so
-    # statements are sorted into a canonical order.
+    # Loop order matters (it defines the nest), and so does statement
+    # order: the data usage analyzer walks statements in program order,
+    # so a load after a store of the same section needs no host-to-device
+    # copy while the same load before it does.  Kernel exploration does
+    # not care, so :func:`kernel_fingerprint` sorts the statements.
     return {
         "name": kernel.name,
         "loops": [
@@ -61,10 +63,7 @@ def _kernel_payload(kernel: KernelSkeleton) -> dict[str, Any]:
             }
             for loop in kernel.loops
         ],
-        "statements": sorted(
-            (_statement_payload(s) for s in kernel.statements),
-            key=canonical_json,
-        ),
+        "statements": [_statement_payload(s) for s in kernel.statements],
     }
 
 
@@ -83,12 +82,15 @@ def kernel_fingerprint(
     """Content hash of one kernel plus the arrays it touches.
 
     Everything kernel exploration reads: the kernel's loops and
-    statements (canonicalized exactly like :meth:`ProgramSkeleton.
-    fingerprint`) and the declarations of the arrays its accesses name.
+    statements (in a canonical order — exploration does not depend on
+    statement order, unlike :meth:`ProgramSkeleton.fingerprint`) and the
+    declarations of the arrays its accesses name.
     Program identity stays *out*, so two programs sharing a kernel share
     its cache entry — the kernel-level cache key of
     :class:`repro.service.engine.ProjectionEngine`.
     """
+    payload = _kernel_payload(kernel)
+    payload["statements"].sort(key=canonical_json)
     touched = sorted(
         {
             access.array
@@ -98,7 +100,7 @@ def kernel_fingerprint(
     )
     return stable_digest(
         {
-            "kernel": _kernel_payload(kernel),
+            "kernel": payload,
             "arrays": [_array_payload(array_map[name]) for name in touched],
         }
     )
@@ -180,9 +182,10 @@ class ProgramSkeleton:
         """Stable content hash of everything the projection depends on.
 
         Two programs that differ only in *representation* — array
-        declaration order, statement order within a kernel, statement
+        declaration order, access order within a statement, statement
         labels — fingerprint identically; any change to shapes, dtypes,
-        flops, loop structure, kernel order (which drives liveness), or
+        flops, loop structure, kernel order or statement order (both
+        drive the data usage analyzer's read-before-write walk), or
         temporary hints produces a different digest.  The projection
         service uses this as part of its cache key.  Computed once per
         object (see :func:`repro.util.fingerprint.memoized`).

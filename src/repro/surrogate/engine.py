@@ -25,7 +25,10 @@ model scores, winning labels, and acceptance verdict depend only on the
 program + hints (the skeleton encodes the dataset; the model is pinned
 to one arch and space), so they are computed once per program content
 (keyed by the memoized fingerprints, so a re-parsed copy of a skeleton
-reuses its template) and kept in a bounded LRU.  A steady-state query
+reuses its template) and kept in a bounded LRU; the transfer plan
+inside a template comes from the process-wide plan store
+(:data:`~repro.core.projector.PLAN_STORE`), so the exact path and the
+surrogate plan each program once between them.  A steady-state query
 pays a dictionary hit, four multiply-adds for the transfer time under
 the query's bus, and response assembly — single-digit microseconds.
 Exactly the what-if pattern the request cache serves, minus the search
@@ -42,7 +45,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.projector import plan_transfers
+from repro.core.projector import PLAN_STORE
 from repro.obs.provenance import ServingProvenance
 from repro.obs.trace import span
 from repro.service.engine import (
@@ -255,7 +258,7 @@ class SurrogateEngine:
         prepared.confidence = float(
             model.confidence(np.asarray([prepared.min_margin]))[0]
         )
-        plan = plan_transfers(
+        plan = PLAN_STORE.plan(
             program, request.hints, request.batched_transfers
         )
         h2d = [t.bytes for t in plan.transfers if t.direction.short == "H2D"]

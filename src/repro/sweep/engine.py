@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.prediction import Projection
-from repro.core.projector import GrophecyPlusPlus, integrate, plan_transfers
+from repro.core.projector import PLAN_STORE, GrophecyPlusPlus, integrate
 from repro.datausage.hints import AnalysisHints
 from repro.datausage.transfers import TransferPlan
 from repro.gpu.arch import GPUArchitecture
@@ -354,8 +354,10 @@ class SweepEngine:
         """A full architecture x point grid, one row per architecture.
 
         Reuse across the grid: transfer plans are computed once for the
-        point axis (they do not depend on the architecture at all) and
-        re-priced per row; kernel analyses and characteristics grids are
+        point axis (they do not depend on the architecture at all),
+        read through the process-wide plan store
+        (:data:`~repro.core.projector.PLAN_STORE`), and re-priced per
+        row; kernel analyses and characteristics grids are
         built once per coalescing-rule group and scored per architecture.
         A failed sharing certificate degrades that group to the per-point
         exact pipeline, never to a wrong answer.
@@ -399,7 +401,7 @@ class SweepEngine:
                 plans = [
                     plan
                     if plan is not None
-                    else plan_transfers(
+                    else PLAN_STORE.plan(
                         programs[i], hints_list[i], self._batched
                     )
                     for i, plan in enumerate(maybe_plans)
@@ -606,7 +608,8 @@ class SweepEngine:
         anchors: list[int],
     ) -> tuple[list[TransferPlan | None], int]:
         """Plans plus how many came from the template; ``None`` slots
-        (and the anchors themselves) run the exact analyzer.
+        (and the anchors themselves) get exact plans through the plan
+        store.
 
         Anchors always get exact plans; the template fitted through them
         serves the rest, unless the anchors reject it (non-affine
@@ -618,7 +621,7 @@ class SweepEngine:
         if sizes is None:
             return plans, 0
         for index in anchors:
-            plans[index] = plan_transfers(
+            plans[index] = PLAN_STORE.plan(
                 programs[index], hints_list[index], self._batched
             )
         if count <= len(anchors):

@@ -14,7 +14,6 @@ magnitude error, it flips the porting decision.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.cpu.model import CpuWorkProfile
 from repro.datausage.hints import AnalysisHints, SparseExtentHint
@@ -129,6 +128,10 @@ class Stassuij(Workload):
     ) -> dict[str, np.ndarray]:
         if iterations != 1:
             raise ValueError("Stassuij is not iterative")
+        # Imported here, not at module level: only this NumPy reference
+        # needs scipy, and importing it costs every process megabytes.
+        import scipy.sparse as sp
+
         a = sp.csr_matrix(
             (
                 inputs["csr_vals"],

@@ -267,6 +267,22 @@ class TestObservability:
         assert "repro_jobs_running" in samples
         assert "repro_uptime_seconds" in samples
 
+    def test_metrics_export_the_plan_store(self, tmp_path):
+        with running_daemon(tmp_path / "state") as (_, _, client):
+            submitted = client.submit(
+                "projection", {"workload": "VectorAdd", "dataset": "4M"}
+            )
+            client.wait(submitted["id"], timeout=60)
+            text = client.metrics_text()
+        samples = {name: value for name, _, value in parse_exposition(text)}
+        assert samples["repro_plan_store_entries"] >= 1
+        assert samples["repro_plan_store_bytes"] > 0
+        lookups = (
+            samples["repro_plan_store_hits"]
+            + samples["repro_plan_store_misses"]
+        )
+        assert lookups >= 1
+
     def test_queue_wait_histogram_feeds_timers(self, tmp_path):
         with running_daemon(tmp_path / "state") as (app, _, client):
             submitted = client.submit(

@@ -10,6 +10,9 @@ from repro.datausage.hints import AnalysisHints, SparseExtentHint
 from repro.gpu.arch import gtx_280, quadro_fx_5600
 from repro.pcie.model import BusModel, LinearTransferModel
 from repro.pcie.presets import pcie_gen1_bus
+from repro.core.projector import GrophecyPlusPlus
+from repro.datausage.transfers import Direction
+from repro.service.cache import ProjectionCache
 from repro.service.engine import ProjectionEngine, ProjectionRequest
 from repro.skeleton import KernelBuilder, ProgramBuilder
 from repro.transform.space import TransformationSpace
@@ -74,9 +77,20 @@ class TestProgramFingerprint:
         reordered = small_program(loads_first=False)
         assert small_program().fingerprint() == reordered.fingerprint()
 
-    def test_statement_order_is_irrelevant(self):
+    def test_statement_order_changes_key(self):
+        # ``add`` reads ``c``: after ``mul`` has stored it on the device
+        # nothing crosses the bus, before it ``c`` must be copied in.
         reordered = small_program(statement_order=("add", "mul"))
-        assert small_program().fingerprint() == reordered.fingerprint()
+        assert small_program().fingerprint() != reordered.fingerprint()
+
+    def test_kernel_fingerprint_ignores_statement_order(self):
+        # Kernel exploration reads statements order-free, so the kernel
+        # cache keeps sharing entries across statement orders.
+        reordered = small_program(statement_order=("add", "mul"))
+        assert (
+            small_program().kernel_fingerprints()
+            == reordered.kernel_fingerprints()
+        )
 
     def test_array_shape_changes_key(self):
         assert small_program(256).fingerprint() != small_program(
@@ -195,3 +209,53 @@ class TestEngineKey:
             )
         )
         assert implicit == explicit
+
+
+def produce_then_consume(store_first: bool):
+    """Kernel ``k``: ``store x[i]`` and ``load x[i]; store y[i]``.
+
+    Stored first, ``x`` is produced on the device before it is read and
+    never crosses host-to-device; read first, it must be copied in.
+    """
+    pb = ProgramBuilder("p").array("x", (1024,)).array("y", (1024,))
+    kb = KernelBuilder("k").parallel_loop("i", 1024)
+    statements = [
+        lambda: kb.store("x", "i").statement(flops=1),
+        lambda: kb.load("x", "i").store("y", "i").statement(flops=1),
+    ]
+    for add in statements if store_first else reversed(statements):
+        add()
+    return pb.kernel(kb).build()
+
+
+class TestStatementOrderReproducer:
+    def test_the_two_orders_need_different_transfers(self):
+        bus = pcie_gen1_bus()
+        projector = GrophecyPlusPlus(quadro_fx_5600(), bus)
+        inputs = [
+            {
+                t.array
+                for t in projector.project(
+                    produce_then_consume(store_first)
+                ).plan.by_direction(Direction.H2D)
+            }
+            for store_first in (True, False)
+        ]
+        assert inputs == [set(), {"x"}]
+
+    def test_cached_engine_never_serves_the_other_order(self):
+        bus = pcie_gen1_bus()
+        engine = ProjectionEngine(
+            arch=quadro_fx_5600(), bus=bus, cache=ProjectionCache()
+        )
+        projector = GrophecyPlusPlus(quadro_fx_5600(), bus)
+        first = engine.project(ProjectionRequest(produce_then_consume(True)))
+        second = engine.project(
+            ProjectionRequest(produce_then_consume(False))
+        )
+        assert first.fingerprint != second.fingerprint
+        assert not second.cached
+        expected = projector.project(produce_then_consume(False))
+        assert second.projection == expected
+        assert second.summary.transfer_seconds == expected.transfer_seconds
+        assert first.summary.transfer_seconds < expected.transfer_seconds
