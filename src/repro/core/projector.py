@@ -15,9 +15,8 @@ on the architecture, the bus or the iteration count.
 from __future__ import annotations
 
 import sys
-import threading
-from collections import OrderedDict
 
+from repro.core.keys import plan_key
 from repro.datausage.analyzer import analyze_transfers
 from repro.datausage.hints import AnalysisHints
 from repro.datausage.transfers import TransferPlan
@@ -30,6 +29,7 @@ from repro.pcie.model import BusModel
 from repro.skeleton.program import ProgramSkeleton
 from repro.transform.explorer import ProgramProjection, project_program
 from repro.transform.space import TransformationSpace
+from repro.util.store import BoundedStore
 from repro.core.prediction import Projection
 
 
@@ -153,29 +153,22 @@ def _analyze(
 PLAN_STORE_CAPACITY = 1024
 
 
-class PlanStore:
+class PlanStore(BoundedStore[TransferPlan]):
     """Bounded, thread-safe, content-keyed store of transfer plans.
 
-    The key is everything the data usage analyzer reads: the program
-    fingerprint (which keeps kernel and statement order), the array
-    declaration order (the plan lists transfers in it, and the
-    fingerprint does not), the hints fingerprint (``None`` and
-    :meth:`AnalysisHints.none` share an entry) and ``batched``.  The
-    value is the immutable :class:`TransferPlan`, equal to what
-    :func:`plan_transfers` returns for the same inputs.  Only plans the
-    analyzer produced are stored, so a program that fails validation
-    raises on every call.  Two threads missing the same key at once may
-    both analyze; they store equal plans.
+    Keyed by :func:`~repro.core.keys.plan_key` — everything the data
+    usage analyzer reads: the program (declaration, kernel and statement
+    order included), the hints (``None`` and :meth:`AnalysisHints.none`
+    share an entry) and ``batched``.  The value is the immutable
+    :class:`TransferPlan`, equal to what :func:`plan_transfers` returns
+    for the same inputs.  Only plans the analyzer produced are stored,
+    so a program that fails validation raises on every call.  Two
+    threads missing the same key at once may both analyze; they store
+    equal plans.
     """
 
     def __init__(self) -> None:
-        self._plans: OrderedDict[tuple, tuple[TransferPlan, int]] = (
-            OrderedDict()
-        )
-        self._lock = threading.Lock()
-        self._bytes = 0
-        self._hits = 0
-        self._misses = 0
+        super().__init__(PLAN_STORE_CAPACITY, size=_retained_bytes)
 
     def plan(
         self,
@@ -185,24 +178,13 @@ class PlanStore:
     ) -> TransferPlan:
         """:func:`plan_transfers`, analyzing only on the first sight of
         this content."""
-        key = (
-            program.fingerprint(),
-            tuple(array.name for array in program.arrays),
-            (hints or AnalysisHints.none()).fingerprint(),
-            bool(batched),
-        )
+        key = plan_key(program, hints, batched)
         with trace_span("transfer-planning", program=program.name) as planning:
-            with self._lock:
-                entry = self._plans.get(key)
-                if entry is not None:
-                    self._plans.move_to_end(key)
-                    self._hits += 1
-            cached = entry is not None
-            if cached:
-                plan = entry[0]
-            else:
+            plan = self.get(key)
+            cached = plan is not None
+            if not cached:
                 plan = _analyze(program, hints, batched)
-                self._put(key, plan)
+                self.put(key, plan)
             planning.set(
                 cached=cached,
                 transfers=plan.transfer_count,
@@ -210,38 +192,10 @@ class PlanStore:
             )
         return plan
 
-    def _put(self, key: tuple, plan: TransferPlan) -> None:
-        size = _retained_bytes(key, plan)
-        with self._lock:
-            self._misses += 1
-            if key in self._plans:
-                return
-            self._plans[key] = (plan, size)
-            self._bytes += size
-            while len(self._plans) > PLAN_STORE_CAPACITY:
-                _key, (_plan, evicted) = self._plans.popitem(last=False)
-                self._bytes -= evicted
-
-    def stats(self) -> dict[str, int]:
-        """Entries, approximate retained bytes, hits and misses."""
-        with self._lock:
-            return {
-                "entries": len(self._plans),
-                "bytes": self._bytes,
-                "hits": self._hits,
-                "misses": self._misses,
-            }
-
-    def clear(self) -> None:
-        """Drop every plan and reset the counters."""
-        with self._lock:
-            self._plans.clear()
-            self._bytes = self._hits = self._misses = 0
-
 
 def _retained_bytes(key: tuple, plan: TransferPlan) -> int:
     """Approximate bytes one entry keeps alive: key, plan, transfers."""
-    parts = [key, *key, *key[1], plan, vars(plan), plan.transfers]
+    parts = [key, *key, plan, vars(plan), plan.transfers]
     for transfer in plan.transfers:
         parts += (transfer, vars(transfer), transfer.array)
     return sum(sys.getsizeof(part) for part in parts)

@@ -68,6 +68,7 @@ from repro.service.engine import ProjectionEngine
 from repro.service.jobs import BadRequestError
 from repro.surrogate.engine import SurrogateEngine
 from repro.surrogate.store import load_model
+from repro.util.store import BoundedStore
 from repro.version import package_version
 
 #: Name of the endpoint file the CLI verbs read to find a daemon.
@@ -363,11 +364,10 @@ class DaemonApp:
 
     def metrics_text(self) -> str:
         """Service metrics exposition plus live queue/SLO/audit and
-        plan-store gauges."""
+        store gauges."""
         text = self.engine.metrics.to_prometheus()
         counts = self.queue.counts()
         slo = self.slo.snapshot()
-        plans = PLAN_STORE.stats()
         gauges: list[tuple[str, Any]] = [
             ("queue_depth", counts["queued"]),
             ("jobs_running", counts["running"]),
@@ -377,11 +377,21 @@ class DaemonApp:
             ("obs_slo_latency_burn_rate", slo["latency_burn_rate"]),
             ("obs_events_emitted", self.events.last_seq),
             ("obs_health_ok", 1 if self.health() == "ok" else 0),
-            ("plan_store_entries", plans["entries"]),
-            ("plan_store_bytes", plans["bytes"]),
-            ("plan_store_hits", plans["hits"]),
-            ("plan_store_misses", plans["misses"]),
         ]
+        cache, surrogate = self.engine.cache, self.surrogate
+        stores: dict[str, BoundedStore | None] = {
+            "plan_store": PLAN_STORE,
+            "result_store": cache.memory if cache is not None else None,
+            "kernel_store": self.engine.kernel_cache,
+            "prepared_store": surrogate.prepared if surrogate else None,
+        }
+        for prefix, store in stores.items():
+            if store is not None:
+                gauges += [
+                    (f"{prefix}_{stat}", value)
+                    for stat, value in store.stats().items()
+                    if value is not None
+                ]
         if self.auditor is not None:
             audit = self.auditor.snapshot()
             gauges.append(

@@ -21,7 +21,6 @@ from repro.datausage.hints import AnalysisHints, SparseExtentHint
 from repro.datausage.analyzer import DataUsageAnalyzer, analyze_transfers
 from repro.datausage.liveness import (
     KernelDependence,
-    dependence_graph,
     kernel_dependences,
 )
 
@@ -34,6 +33,5 @@ __all__ = [
     "DataUsageAnalyzer",
     "analyze_transfers",
     "KernelDependence",
-    "dependence_graph",
     "kernel_dependences",
 ]

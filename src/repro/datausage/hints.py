@@ -69,4 +69,9 @@ class AnalysisHints:
 
     @staticmethod
     def none() -> "AnalysisHints":
-        return AnalysisHints()
+        """The empty hints: one shared instance, so its digest is
+        computed once per process."""
+        return _NO_HINTS
+
+
+_NO_HINTS = AnalysisHints()

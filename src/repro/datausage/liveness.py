@@ -1,8 +1,8 @@
 """Inter-kernel dependence analysis over BRS footprints.
 
 The paper builds on GROPHECY's use of INTERSECT to "determine the
-dependencies among BRSs"; here we expose that as a kernel-level dependence
-graph.  The transformation layer uses it to decide which kernels may be
+dependencies among BRSs"; here we expose that as kernel-level dependence
+edges.  The transformation layer uses it to decide which kernels may be
 fused (e.g. HotSpot's repeated stencil invocations), and it documents why
 CFD is split into three kernels (global synchronization on true
 dependences).
@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.brs.footprint import KernelFootprint, kernel_footprint
 from repro.brs.ops import intersect
 from repro.brs.set import SectionSet
 from repro.skeleton.program import ProgramSkeleton
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 class DependenceKind(enum.Enum):
@@ -86,23 +82,3 @@ def kernel_dependences(program: ProgramSkeleton) -> list[KernelDependence]:
                     )
     return out
 
-
-def dependence_graph(program: ProgramSkeleton) -> nx.MultiDiGraph:
-    """Kernel dependence graph as a networkx MultiDiGraph.
-
-    Nodes are kernel names (with an ``order`` attribute); edges carry
-    ``array`` and ``kind`` attributes.  The graph of a valid program is a
-    DAG in program order by construction.
-    """
-    # Imported here, not at module level: networkx is only needed for
-    # this graph view, and importing it costs every process megabytes.
-    import networkx as nx
-
-    g = nx.MultiDiGraph(name=program.name)
-    for order, kernel in enumerate(program.kernels):
-        g.add_node(kernel.name, order=order)
-    for dep in kernel_dependences(program):
-        g.add_edge(
-            dep.producer, dep.consumer, array=dep.array, kind=dep.kind
-        )
-    return g

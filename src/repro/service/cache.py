@@ -25,11 +25,11 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any
 
 from repro.core.serialize import ProjectionSummary
+from repro.util.store import BoundedStore, hit_rate
 
 #: Schema version of on-disk entries; bump on incompatible change.
 DISK_FORMAT = 1
@@ -45,62 +45,50 @@ class ProjectionCache:
         capacity: int = 256,
         disk_dir: str | Path | None = None,
     ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._capacity = capacity
+        #: The memory tier; its misses include lookups the disk served.
+        self.memory: BoundedStore[ProjectionSummary] = BoundedStore(capacity)
         self._disk_dir = Path(disk_dir) if disk_dir is not None else None
         self._lock = threading.Lock()
-        self._memory: OrderedDict[str, ProjectionSummary] = OrderedDict()
-        self._hits_memory = 0
         self._hits_disk = 0
-        self._misses = 0
         self._puts = 0
-        self._evictions = 0
         if self._disk_dir is not None:
             self._disk_dir.mkdir(parents=True, exist_ok=True)
 
     # Properties ----------------------------------------------------------
     @property
     def capacity(self) -> int:
-        return self._capacity
+        return self.memory.capacity
 
     @property
     def disk_dir(self) -> Path | None:
         return self._disk_dir
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._memory)
+        return len(self.memory)
 
     # Core API ------------------------------------------------------------
     def get(self, key: str) -> ProjectionSummary | None:
         """Look up ``key``: memory first, then disk (with promotion)."""
-        with self._lock:
-            if key in self._memory:
-                self._memory.move_to_end(key)
-                self._hits_memory += 1
-                return self._memory[key]
+        entry = self.memory.get(key)
+        if entry is not None:
+            return entry
         entry = self._disk_get(key)
         if entry is not None:
             with self._lock:
                 self._hits_disk += 1
-                self._memory_put(key, entry)
-            return entry
-        with self._lock:
-            self._misses += 1
-        return None
+            self.memory.put(key, entry)
+        return entry
 
     def put(self, key: str, summary: ProjectionSummary) -> None:
         """Store ``summary`` under ``key`` in both tiers."""
         with self._lock:
             self._puts += 1
-            self._memory_put(key, summary)
+        self.memory.put(key, summary)
         self._disk_put(key, summary)
 
     def clear(self) -> None:
         """Drop every entry from both tiers (counters are kept)."""
-        with self._lock:
-            self._memory.clear()
+        self.memory.clear()
         if self._disk_dir is not None and self._disk_dir.is_dir():
             for path in self._disk_dir.glob(f"*{_SUFFIX}"):
                 try:
@@ -114,30 +102,27 @@ class ProjectionCache:
         ``hit_rate`` is hits over lookups in [0, 1], or ``None`` before
         the first lookup (never a zero-division).
         """
+        # Read the disk hits first: each one follows a memory miss, so
+        # the memory snapshot taken after it never counts fewer misses.
         with self._lock:
-            hits = self._hits_memory + self._hits_disk
-            stats: dict[str, Any] = {
-                "hits": hits,
-                "hits_memory": self._hits_memory,
-                "hits_disk": self._hits_disk,
-                "misses": self._misses,
-                "hit_rate": hit_rate(hits, self._misses),
-                "puts": self._puts,
-                "evictions": self._evictions,
-                "memory_entries": len(self._memory),
-                "capacity": self._capacity,
-            }
+            hits_disk, puts = self._hits_disk, self._puts
+        memory = self.memory.stats()
+        hits = memory["hits"] + hits_disk
+        misses = memory["misses"] - hits_disk
+        stats: dict[str, Any] = {
+            "hits": hits,
+            "hits_memory": memory["hits"],
+            "hits_disk": hits_disk,
+            "misses": misses,
+            "hit_rate": hit_rate(hits, misses),
+            "puts": puts,
+            "evictions": memory["evictions"],
+            "memory_entries": memory["entries"],
+            "capacity": memory["capacity"],
+        }
         if self._disk_dir is not None:
             stats["disk"] = disk_cache_stats(self._disk_dir)
         return stats
-
-    # Memory tier (callers hold the lock) ---------------------------------
-    def _memory_put(self, key: str, summary: ProjectionSummary) -> None:
-        self._memory[key] = summary
-        self._memory.move_to_end(key)
-        while len(self._memory) > self._capacity:
-            self._memory.popitem(last=False)
-            self._evictions += 1
 
     # Disk tier -----------------------------------------------------------
     def _disk_path(self, key: str) -> Path:
@@ -185,26 +170,18 @@ class ProjectionCache:
             except OSError:
                 pass
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        stats = self.stats()
-        return (
-            f"cache: {stats['memory_entries']}/{stats['capacity']} in "
-            f"memory, {stats['hits']} hits / {stats['misses']} misses"
-        )
 
-
-class KernelProjectionCache:
+class KernelProjectionCache(BoundedStore):
     """Thread-safe in-memory LRU of live kernel projections.
 
     The kernel side of a projection is bus-independent, so the engine
     keys entries by kernel content + architecture + space (see
-    :meth:`repro.service.engine.ProjectionEngine._kernel_digest_key`) and
-    entries stay valid across bus what-ifs — and across *programs* that
-    share a kernel.  Values are the immutable
-    :class:`~repro.transform.explorer.KernelProjection` dataclasses
-    themselves: sharing them is safe, and a hit compares equal to the
-    recomputation it replaces (the sweep-engine equivalence tests lean
-    on exactly that dataclass equality).
+    :func:`repro.core.keys.kernel_key`) and entries stay valid across bus
+    what-ifs — and across *programs* that share a kernel.  Values are the
+    immutable :class:`~repro.transform.explorer.KernelProjection`
+    dataclasses themselves: sharing them is safe, and a hit compares
+    equal to the recomputation it replaces (the sweep-engine equivalence
+    tests lean on exactly that dataclass equality).
 
     This tier is memory-only: entries hold live object graphs (every
     candidate's characteristics and timing breakdown), which the JSON
@@ -212,70 +189,7 @@ class KernelProjectionCache:
     """
 
     def __init__(self, capacity: int = 512) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, Any] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key: str) -> Any | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry
-
-    def put(self, key: str, projection: Any) -> None:
-        with self._lock:
-            self._entries[key] = projection
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def stats(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "hit_rate": hit_rate(self._hits, self._misses),
-                "evictions": self._evictions,
-                "entries": len(self._entries),
-                "capacity": self._capacity,
-            }
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        stats = self.stats()
-        return (
-            f"kernel cache: {stats['entries']}/{stats['capacity']} "
-            f"entries, {stats['hits']} hits / {stats['misses']} misses"
-        )
-
-
-def hit_rate(hits: int, misses: int) -> float | None:
-    """Hits over lookups, or None when nothing was ever looked up."""
-    lookups = hits + misses
-    if lookups <= 0:
-        return None
-    return hits / lookups
+        super().__init__(capacity)
 
 
 #: Sidecar accumulating hit/miss counters across batch runs.  Not

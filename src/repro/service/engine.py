@@ -5,21 +5,17 @@ batched — and returns structured :class:`ProjectionResponse`s.  Compared
 to calling :class:`~repro.core.projector.GrophecyPlusPlus` directly it
 adds:
 
-- **content-addressed caching**: results are keyed by a stable
-  fingerprint of skeleton + GPU architecture + bus model + explorer
-  options, so repeated projections (parameter sweeps, what-if studies,
-  the figure harness) cost a dictionary lookup instead of a
-  transformation-space search;
+- **content-addressed caching**: results are keyed by
+  :func:`repro.core.keys.request_key` (never the iteration count: kernel
+  time scales, the transfer set does not — paper Section IV-B), so
+  repeated projections (parameter sweeps, what-if studies, the figure
+  harness) cost a dictionary lookup instead of a transformation-space
+  search;
 - **batch fan-out**: :meth:`ProjectionEngine.project_batch` serves a
   batch's requests across a worker pool with deterministic ordering;
 - **metrics**: every request feeds counters (requests, cache hits and
   misses, candidates explored) and per-stage timers (explore, analyze,
   predict).
-
-The iteration count deliberately stays *out* of the cache key: a
-projection is iteration-independent (kernel time scales, the transfer
-set does not — paper Section IV-B), so asking for 1 and 500 iterations
-of the same skeleton is one exploration and two cheap reads.
 """
 
 from __future__ import annotations
@@ -28,6 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+from repro.core.keys import kernel_key, request_key
 from repro.core.prediction import Projection
 from repro.core.projector import PLAN_STORE, integrate
 from repro.core.serialize import ProjectionSummary, summarize_projection
@@ -49,14 +46,7 @@ from repro.transform.explorer import (
     project_program,
 )
 from repro.transform.space import TransformationSpace
-from repro.util.fingerprint import stable_digest
 from repro.util.validation import check_positive
-
-#: Fingerprint schema version; bump when the key derivation changes.
-#: 2: the program fingerprint keeps statement order (format-1 keys
-#: could collide for programs whose transfer plans differ).
-KEY_FORMAT = 2
-
 
 @dataclass(frozen=True)
 class ProjectionRequest:
@@ -158,14 +148,10 @@ class ProjectionEngine:
         serially on the calling thread.
 
         A second, finer cache sits under the request cache: exploration
-        results are kept per *kernel*, keyed by kernel content + arch +
-        space (the bus deliberately excluded — kernel time is
-        bus-independent).  A
-        what-if study that re-projects the same program over PCIe
-        generations misses the request cache (the bus is in its key) but
-        skips every transformation-space search.  Pass ``kernel_cache``
-        to share one across engines, or ``kernel_cache_capacity=0`` to
-        disable the tier.
+        results per *kernel*, keyed by :func:`repro.core.keys.kernel_key`
+        (no bus), so a bus what-if skips every transformation-space
+        search.  Pass ``kernel_cache`` to share one across engines, or
+        ``kernel_cache_capacity=0`` to disable the tier.
 
         ``provenance=True`` attaches a
         :class:`~repro.obs.provenance.ProjectionProvenance` record to
@@ -235,49 +221,15 @@ class ProjectionEngine:
 
     # Keying --------------------------------------------------------------
     def fingerprint(self, request: ProjectionRequest) -> str:
-        """Cache key: everything that determines the projection result.
-
-        Each input's own digest is memoized on the (immutable) object, so
-        a repeated request — the same interned skeleton at another bus or
-        iteration count — hashes only this small envelope.
-        """
-        arch = request.arch or self._arch
-        bus = request.bus or self._bus
-        space = request.space or self._space
-        hints = request.hints or AnalysisHints.none()
-        return stable_digest(
-            {
-                "format": KEY_FORMAT,
-                "skeleton": request.program.fingerprint(),
-                "hints": hints.fingerprint(),
-                "arch": arch.fingerprint(),
-                "bus": bus.fingerprint(),
-                "space": space.fingerprint(),
-                "options": {"batched_transfers": request.batched_transfers},
-            }
-        )
-
-    def _kernel_digest_key(
-        self,
-        kernel_digest: str,
-        arch: GPUArchitecture,
-        space: TransformationSpace,
-    ) -> str:
-        """Kernel-level cache key: everything one exploration reads.
-
-        Bus and explorer stay out — kernel time is bus-independent, and
-        fast/reference produce equal projections.  ``kernel_digest``
-        is the kernel's :func:`~repro.skeleton.program.kernel_fingerprint`
-        — for a whole program, read from the memoized
-        :meth:`ProgramSkeleton.kernel_fingerprints`.
-        """
-        return stable_digest(
-            {
-                "format": KEY_FORMAT,
-                "kernel": kernel_digest,
-                "arch": arch.fingerprint(),
-                "space": space.fingerprint(),
-            }
+        """Cache key: :func:`repro.core.keys.request_key` of the request,
+        with this engine's defaults filled in."""
+        return request_key(
+            request.program,
+            request.hints,
+            request.arch or self._arch,
+            request.bus or self._bus,
+            request.space or self._space,
+            request.batched_transfers,
         )
 
     # Serving -------------------------------------------------------------
@@ -389,7 +341,7 @@ class ProjectionEngine:
         for kernel, digest in zip(
             program.kernels, program.kernel_fingerprints()
         ):
-            key = self._kernel_digest_key(digest, model.arch, space)
+            key = kernel_key(digest, model.arch, space)
             found = cache.get(key)
             if found is None:
                 found = explore_kernel(

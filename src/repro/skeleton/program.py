@@ -7,7 +7,7 @@ from typing import Any, Mapping
 
 from repro.skeleton.arrays import ArrayDecl
 from repro.skeleton.kernel import KernelSkeleton
-from repro.util.fingerprint import canonical_json, memoized, stable_digest
+from repro.util.fingerprint import memoized, stable_digest
 
 
 def _index_payload(index) -> dict[str, Any]:
@@ -28,13 +28,11 @@ def _access_payload(access) -> dict[str, Any]:
 
 
 def _statement_payload(statement) -> dict[str, Any]:
-    # ``label`` is cosmetic and access order within a statement is
-    # irrelevant to the analysis, so neither participates.
+    # ``label`` is cosmetic, so it does not participate.  Access order
+    # does: kernel analysis sums per-access floats in it, so a reordered
+    # statement can price a kernel differently in the last bit.
     return {
-        "accesses": sorted(
-            (_access_payload(a) for a in statement.accesses),
-            key=canonical_json,
-        ),
+        "accesses": [_access_payload(a) for a in statement.accesses],
         "flops": statement.flops,
         "branch_prob": statement.branch_prob,
         "amortize": (
@@ -49,8 +47,8 @@ def _kernel_payload(kernel: KernelSkeleton) -> dict[str, Any]:
     # Loop order matters (it defines the nest), and so does statement
     # order: the data usage analyzer walks statements in program order,
     # so a load after a store of the same section needs no host-to-device
-    # copy while the same load before it does.  Kernel exploration does
-    # not care, so :func:`kernel_fingerprint` sorts the statements.
+    # copy while the same load before it does; kernel exploration sums
+    # per-statement floats in it.
     return {
         "name": kernel.name,
         "loops": [
@@ -82,15 +80,13 @@ def kernel_fingerprint(
     """Content hash of one kernel plus the arrays it touches.
 
     Everything kernel exploration reads: the kernel's loops and
-    statements (in a canonical order — exploration does not depend on
-    statement order, unlike :meth:`ProgramSkeleton.fingerprint`) and the
-    declarations of the arrays its accesses name.
-    Program identity stays *out*, so two programs sharing a kernel share
-    its cache entry — the kernel-level cache key of
+    statements (in order) and the declarations of the arrays its
+    accesses name, sorted by name.  Program identity and the order the
+    program declares its arrays in stay *out*, so two programs sharing a
+    kernel share its cache entry — the kernel-level cache key of
     :class:`repro.service.engine.ProjectionEngine`.
     """
     payload = _kernel_payload(kernel)
-    payload["statements"].sort(key=canonical_json)
     touched = sorted(
         {
             access.array
@@ -181,21 +177,19 @@ class ProgramSkeleton:
     def fingerprint(self) -> str:
         """Stable content hash of everything the projection depends on.
 
-        Two programs that differ only in *representation* — array
-        declaration order, access order within a statement, statement
-        labels — fingerprint identically; any change to shapes, dtypes,
-        flops, loop structure, kernel order or statement order (both
-        drive the data usage analyzer's read-before-write walk), or
-        temporary hints produces a different digest.  The projection
-        service uses this as part of its cache key.  Computed once per
-        object (see :func:`repro.util.fingerprint.memoized`).
+        Two programs that differ only in statement labels fingerprint
+        identically; any change to shapes, dtypes, flops, loop
+        structure, kernel order or statement order (both drive the data
+        usage analyzer's read-before-write walk), access order (kernel
+        analysis sums in it), array declaration order (the analyzer
+        lists transfers in it), or temporary hints produces a different
+        digest.  Every cache key that reads a whole
+        program is built from it (see :mod:`repro.core.keys`).  Computed
+        once per object (see :func:`repro.util.fingerprint.memoized`).
         """
         payload = {
             "name": self.name,
-            "arrays": sorted(
-                (_array_payload(a) for a in self.arrays),
-                key=lambda p: p["name"],
-            ),
+            "arrays": [_array_payload(a) for a in self.arrays],
             "kernels": [_kernel_payload(k) for k in self.kernels],
             "temporaries": sorted(self.temporaries),
         }

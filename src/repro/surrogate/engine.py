@@ -24,8 +24,8 @@ The hot path is deliberately cache-shaped: a program's feature matrix,
 model scores, winning labels, and acceptance verdict depend only on the
 program + hints (the skeleton encodes the dataset; the model is pinned
 to one arch and space), so they are computed once per program content
-(keyed by the memoized fingerprints, so a re-parsed copy of a skeleton
-reuses its template) and kept in a bounded LRU; the transfer plan
+(keyed by :func:`~repro.core.keys.plan_key`, so a re-parsed copy of a
+skeleton reuses its template) and kept in a bounded store; the transfer plan
 inside a template comes from the process-wide plan store
 (:data:`~repro.core.projector.PLAN_STORE`), so the exact path and the
 surrogate plan each program once between them.  A steady-state query
@@ -37,14 +37,13 @@ that fills it.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from repro.core.keys import model_key, plan_key
 from repro.core.projector import PLAN_STORE
 from repro.obs.provenance import ServingProvenance
 from repro.obs.trace import span
@@ -57,13 +56,14 @@ from repro.surrogate.features import kernel_feature_row
 from repro.surrogate.model import SurrogateModel
 from repro.surrogate.store import StaleModelError
 from repro.transform.analysis import analyze_kernel
+from repro.util.store import BoundedStore
 
 SERVING_MODES = ("auto", "surrogate", "exact")
 
 #: Prepared templates kept per engine (least recently used evicted
 #: first).  The registry needs a few dozen; the rest of the budget goes
 #: to inline skeletons, which are rarely asked about twice.
-_PREPARED_CAPACITY = 256
+PREPARED_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -173,13 +173,14 @@ class SurrogateEngine:
                 f"unknown serving mode {mode!r}: expected one of "
                 f"{', '.join(SERVING_MODES)}"
             )
-        if exact.arch.fingerprint() != model.arch_fingerprint:
+        arch_key, space_key = model_key(exact.arch, exact.space)
+        if arch_key != model.arch_fingerprint:
             raise StaleModelError(
                 f"surrogate model was trained for arch "
                 f"{model.arch_name!r}, engine serves {exact.arch.name!r} "
                 f"— retrain or switch engines"
             )
-        if exact.space.fingerprint() != model.space_fingerprint:
+        if space_key != model.space_fingerprint:
             raise StaleModelError(
                 "surrogate model's transformation space does not match "
                 "the engine's — retrain"
@@ -194,31 +195,20 @@ class SurrogateEngine:
         self.auditor: Any = None
         configs = exact.space.configs()
         self._labels = tuple(config.label() for config in configs)
-        #: (program fingerprint, hints fingerprint or None, batched) ->
-        #: _Prepared, an LRU of at most ``_PREPARED_CAPACITY`` entries.
-        self._prepared: OrderedDict[
-            tuple[str, str | None, bool], _Prepared
-        ] = OrderedDict()
-        self._prepared_lock = threading.Lock()
+        #: Prepared templates by :func:`~repro.core.keys.plan_key`.
+        self.prepared: BoundedStore[_Prepared] = BoundedStore(
+            PREPARED_CAPACITY
+        )
 
     # Preparation ---------------------------------------------------------
     def _prepare(self, request: ProjectionRequest) -> _Prepared:
-        hints = request.hints
-        key = (
-            request.program.fingerprint(),
-            None if hints is None else hints.fingerprint(),
-            bool(request.batched_transfers),
+        key = plan_key(
+            request.program, request.hints, request.batched_transfers
         )
-        with self._prepared_lock:
-            prepared = self._prepared.get(key)
-            if prepared is not None:
-                self._prepared.move_to_end(key)
-                return prepared
-        prepared = self._build(request)
-        with self._prepared_lock:
-            self._prepared[key] = prepared
-            while len(self._prepared) > _PREPARED_CAPACITY:
-                self._prepared.popitem(last=False)
+        prepared = self.prepared.get(key)
+        if prepared is None:
+            prepared = self._build(request)
+            self.prepared.put(key, prepared)
         return prepared
 
     def _build(self, request: ProjectionRequest) -> _Prepared:
@@ -271,17 +261,13 @@ class SurrogateEngine:
 
     def _matches(self, request: ProjectionRequest) -> str | None:
         """The structural-mismatch reason for ``request``, or ``None``."""
-        arch = request.arch
-        if (
-            arch is not None
-            and arch.fingerprint() != self.model.arch_fingerprint
-        ):
+        arch_key, space_key = model_key(
+            request.arch or self.exact.arch,
+            request.space or self.exact.space,
+        )
+        if arch_key != self.model.arch_fingerprint:
             return "arch_mismatch"
-        space = request.space
-        if (
-            space is not None
-            and space.fingerprint() != self.model.space_fingerprint
-        ):
+        if space_key != self.model.space_fingerprint:
             return "space_mismatch"
         return None
 

@@ -1,8 +1,8 @@
 """Stable content fingerprints for cache keys.
 
-The projection service (:mod:`repro.service`) caches results under a key
-derived from everything that determines a projection: the skeleton, the
-GPU architecture, the bus model, and the explorer options.  Each of those
+Every cache tier keys its entries through :mod:`repro.core.keys`, from
+the digests of everything that determines its value: the skeleton, the
+hints, the GPU architecture, the bus model and the space.  Each of those
 types exposes a ``fingerprint()`` built on :func:`stable_digest`: the
 object is first reduced to a *canonical* JSON-safe payload (sorted keys,
 no insertion-order or float-repr ambiguity) and then hashed with SHA-256.
@@ -11,7 +11,10 @@ Two rules keep the keys useful:
 
 - **Semantically equal inputs hash equally.**  Payloads must normalize
   away representation choices that cannot affect the projection — e.g.
-  array-declaration order or statement order within a kernel.
+  statement labels, or hint order.  Declaration, statement and access
+  order are *not* such choices: the data usage analyzer walks statements
+  in program order and lists transfers in declaration order, and kernel
+  analysis sums floats in access order.
 - **Anything that can change the result changes the hash.**  Every model
   parameter, shape, flop count, and option must appear in the payload.
 

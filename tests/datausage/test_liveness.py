@@ -1,12 +1,6 @@
 """Tests for inter-kernel dependence analysis."""
 
-import networkx as nx
-
-from repro.datausage.liveness import (
-    DependenceKind,
-    dependence_graph,
-    kernel_dependences,
-)
+from repro.datausage.liveness import DependenceKind, kernel_dependences
 from repro.skeleton import KernelBuilder, ProgramBuilder
 
 
@@ -85,22 +79,3 @@ class TestKernelDependences:
         ]
         assert flows == []
 
-
-class TestDependenceGraph:
-    def test_graph_structure(self):
-        g = dependence_graph(chain_program())
-        assert set(g.nodes) == {"k1", "k2"}
-        assert g.nodes["k1"]["order"] == 0
-        assert g.has_edge("k1", "k2")
-
-    def test_graph_is_dag(self):
-        g = dependence_graph(chain_program())
-        assert nx.is_directed_acyclic_graph(g)
-
-    def test_edge_attributes(self):
-        g = dependence_graph(chain_program())
-        attrs = [d for *_, d in g.edges(data=True)]
-        assert any(
-            a["array"] == "b" and a["kind"] is DependenceKind.FLOW
-            for a in attrs
-        )

@@ -11,6 +11,7 @@ from repro.gpu.arch import gtx_280, quadro_fx_5600
 from repro.pcie.model import BusModel, LinearTransferModel
 from repro.pcie.presets import pcie_gen1_bus
 from repro.core.projector import GrophecyPlusPlus
+from repro.core.serialize import summarize_projection
 from repro.datausage.transfers import Direction
 from repro.service.cache import ProjectionCache
 from repro.service.engine import ProjectionEngine, ProjectionRequest
@@ -69,13 +70,15 @@ class TestProgramFingerprint:
     def test_deterministic(self):
         assert small_program().fingerprint() == small_program().fingerprint()
 
-    def test_array_declaration_order_is_irrelevant(self):
+    def test_array_declaration_order_changes_key(self):
+        # The analyzer lists transfers in declaration order.
         reordered = small_program(array_order=("c", "a", "b"))
-        assert small_program().fingerprint() == reordered.fingerprint()
+        assert small_program().fingerprint() != reordered.fingerprint()
 
-    def test_access_order_within_statement_is_irrelevant(self):
+    def test_access_order_within_statement_changes_key(self):
+        # Kernel analysis sums per-access floats in access order.
         reordered = small_program(loads_first=False)
-        assert small_program().fingerprint() == reordered.fingerprint()
+        assert small_program().fingerprint() != reordered.fingerprint()
 
     def test_statement_order_changes_key(self):
         # ``add`` reads ``c``: after ``mul`` has stored it on the device
@@ -83,10 +86,18 @@ class TestProgramFingerprint:
         reordered = small_program(statement_order=("add", "mul"))
         assert small_program().fingerprint() != reordered.fingerprint()
 
-    def test_kernel_fingerprint_ignores_statement_order(self):
-        # Kernel exploration reads statements order-free, so the kernel
-        # cache keeps sharing entries across statement orders.
+    def test_kernel_fingerprint_keeps_statement_order(self):
+        # Kernel exploration sums per-statement floats in program order.
         reordered = small_program(statement_order=("add", "mul"))
+        assert (
+            small_program().kernel_fingerprints()
+            != reordered.kernel_fingerprints()
+        )
+
+    def test_kernel_fingerprint_ignores_array_declaration_order(self):
+        # It names only the arrays a kernel touches, sorted, so the
+        # kernel cache shares entries across declaration orders.
+        reordered = small_program(array_order=("c", "a", "b"))
         assert (
             small_program().kernel_fingerprints()
             == reordered.kernel_fingerprints()
@@ -259,3 +270,44 @@ class TestStatementOrderReproducer:
         assert second.projection == expected
         assert second.summary.transfer_seconds == expected.transfer_seconds
         assert first.summary.transfer_seconds < expected.transfer_seconds
+
+
+def declared(order):
+    """Arrays declared in ``order`` around kernel ``load a, load c,
+    store b``: the analyzer lists the inputs ``a`` and ``c`` in
+    declaration order."""
+    pb = ProgramBuilder("p")
+    for name in order:
+        pb.array(name, (1024,))
+    kb = KernelBuilder("k").parallel_loop("i", 1024)
+    kb.load("a", "i").load("c", "i").store("b", "i").statement(flops=1)
+    return pb.kernel(kb).build()
+
+
+class TestDeclarationOrderReproducer:
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_cached_engine_never_serves_the_other_declaration_order(
+        self, batched
+    ):
+        bus = pcie_gen1_bus()
+        engine = ProjectionEngine(
+            arch=quadro_fx_5600(), bus=bus, cache=ProjectionCache()
+        )
+        oracle = GrophecyPlusPlus(
+            quadro_fx_5600(), bus, batched_transfers=batched
+        )
+        first = engine.project(
+            ProjectionRequest(
+                declared(("a", "b", "c")), batched_transfers=batched
+            )
+        )
+        second = engine.project(
+            ProjectionRequest(
+                declared(("c", "b", "a")), batched_transfers=batched
+            )
+        )
+        assert not second.cached
+        assert second.fingerprint != first.fingerprint
+        assert second.summary == summarize_projection(
+            oracle.project(declared(("c", "b", "a")))
+        )

@@ -21,27 +21,27 @@ from repro.service.engine import ProjectionEngine, ProjectionRequest
 from repro.transform.space import TransformationSpace
 from repro.workloads.registry import get_workload
 
-#: Request keys at ``KEY_FORMAT = 2`` (re-pinned when the program
-#: fingerprint started keeping statement order; the component digests
-#: below did not move, because every HotSpot kernel has one statement).
+#: Request keys at ``KEY_FORMAT = 3`` (re-pinned when the program
+#: fingerprint started keeping array declaration and access order; of
+#: the component digests below only ``program`` moved).
 GOLDEN_REQUEST_KEYS = {
     # fast/reference summaries are interchangeable by design, so they
     # share one key.
     "reference": (
-        "d106a7e35d3d206973661d93676732af0c70a816e22a373a9126f75f028f4dd3"
+        "f072c3656091ed57d117e55dc6a291e23dc690bc46358f21d18d89702c229d96"
     ),
     "fast": (
-        "d106a7e35d3d206973661d93676732af0c70a816e22a373a9126f75f028f4dd3"
+        "f072c3656091ed57d117e55dc6a291e23dc690bc46358f21d18d89702c229d96"
     ),
 }
 
 GOLDEN_BATCHED_KEY = (
-    "5309627e92e2e770b67fde69eed38cba2e73012377d483d84fedc4b319f23d24"
+    "ac9269463fc11ab2bac707fbe492342aca1eea5925c01c6d3e5b929ae4ceec18"
 )
 
 GOLDEN_COMPONENTS = {
     "program": (
-        "019ece474bc7ba8a5971ae58b612cb2cd5c25e580ee3ef29dd5b53c97f90985d"
+        "70c3a1733047c00520da357a32c88c07e67fc4ea2227e76115f03387e723af8f"
     ),
     "hints": (
         "5b776b736340d8c916ae36809d4b3e249b9c40956a1a915f0aeab010f91d5e35"
@@ -79,16 +79,16 @@ GOLDEN_ARCH_FINGERPRINTS = {
 
 #: Fast-explorer request keys for the fixed request with each calibrated
 #: board as the per-request arch override (first captured before the
-#: registry existed, re-pinned at ``KEY_FORMAT = 2``).
+#: registry existed, re-pinned at ``KEY_FORMAT = 3``).
 GOLDEN_ARCH_REQUEST_KEYS = {
     "quadro_fx_5600": (
-        "d106a7e35d3d206973661d93676732af0c70a816e22a373a9126f75f028f4dd3"
+        "f072c3656091ed57d117e55dc6a291e23dc690bc46358f21d18d89702c229d96"
     ),
     "tesla_c1060": (
-        "533c0ddc38810e3b1efa518d19c16a38d8a1ee161f264e858654922986775080"
+        "2ae8cd1e53dd804ff9dc17572509422e02ad945fd7770df7169e0f3e239d243e"
     ),
     "gtx_280": (
-        "075b0b4bda898e5b142e3a1867741c7fc1fd6302fa66da0abb42a0163980304c"
+        "175492ca09ed0fec5e0f2d5916f739194e5ac72eca81c4fc73def9a2aff512cb"
     ),
 }
 

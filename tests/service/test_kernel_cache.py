@@ -8,6 +8,7 @@ transformation space.
 
 import pytest
 
+from repro.core.keys import kernel_key
 from repro.core.projector import GrophecyPlusPlus
 from repro.gpu.arch import quadro_fx_5600, tesla_c1060
 from repro.pcie.presets import pcie_gen1_bus, pcie_gen2_bus, pcie_gen3_bus
@@ -20,9 +21,7 @@ from repro.workloads.registry import get_workload
 
 def _kernel_key(engine, kernel, array_map, arch, space):
     """The engine's kernel-cache key for one kernel of a program."""
-    return engine._kernel_digest_key(
-        kernel_fingerprint(kernel, array_map), arch, space
-    )
+    return kernel_key(kernel_fingerprint(kernel, array_map), arch, space)
 
 
 @pytest.fixture(scope="module")

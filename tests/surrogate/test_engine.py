@@ -10,7 +10,6 @@ from repro.gpu.arch import gtx_280
 from repro.service.engine import ProjectionEngine, ProjectionRequest
 from repro.service.jobs import parse_request
 from repro.skeleton import KernelBuilder, ProgramBuilder
-from repro.surrogate import engine as surrogate_engine
 from repro.surrogate.engine import (
     SERVING_MODES,
     SurrogateBatchAdapter,
@@ -19,6 +18,7 @@ from repro.surrogate.engine import (
 )
 from repro.surrogate.store import StaleModelError
 from repro.transform.space import TransformationSpace
+from repro.util.store import BoundedStore
 
 from tests.surrogate.conftest import request_for
 
@@ -268,10 +268,13 @@ class TestPreparedCache:
     def test_same_program_identity_is_prepared_once(self, surrogate):
         request = request_for(*SERVED)
         surrogate.project(request)
-        prepared = dict(surrogate._prepared)
+        prepared = surrogate.prepared.stats()
         for _ in range(3):
             surrogate.project(request)
-        assert dict(surrogate._prepared) == prepared
+        stats = surrogate.prepared.stats()
+        assert stats["entries"] == prepared["entries"] == 1
+        assert stats["misses"] == prepared["misses"]
+        assert stats["hits"] == prepared["hits"] + 3
 
     def test_same_record_twice_is_prepared_once(
         self, surrogate, monkeypatch
@@ -285,7 +288,7 @@ class TestPreparedCache:
                 parse_request(record, index, Path(".")), "surrogate"
             )
         assert len(builds) == 1
-        assert len(surrogate._prepared) == 1
+        assert len(surrogate.prepared) == 1
 
     def test_equal_registry_content_is_prepared_once(
         self, surrogate, monkeypatch
@@ -294,17 +297,17 @@ class TestPreparedCache:
         surrogate.project(request_for(*SERVED))
         surrogate.project(request_for(*SERVED))  # new skeleton object
         assert len(builds) == 1
-        assert len(surrogate._prepared) == 1
+        assert len(surrogate.prepared) == 1
 
     def test_prepared_cache_is_bounded(self, surrogate, monkeypatch):
-        monkeypatch.setattr(surrogate_engine, "_PREPARED_CAPACITY", 4)
+        monkeypatch.setattr(surrogate, "prepared", BoundedStore(4))
         builds = counting_builds(surrogate, monkeypatch)
         for index, extent in enumerate(range(64, 64 + 10)):
             record = {"skeleton": inline_skeleton(extent)}
             surrogate.project(
                 parse_request(record, index, Path(".")), "surrogate"
             )
-            assert len(surrogate._prepared) <= 4
+            assert len(surrogate.prepared) <= 4
         assert len(builds) == 10
         # The most recent entries survive; the oldest were evicted.
         record = {"skeleton": inline_skeleton(64 + 9)}
